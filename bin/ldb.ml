@@ -157,23 +157,17 @@ let algorithm_arg =
 
 let kernel_arg =
   let doc =
-    "Evaluation kernel for the exact/possible engines: $(b,interned) \
-     (integer-coded constants, array tuples, incremental quotients — the \
-     default), $(b,compiled) (the interned scan with plans and formulas \
-     flattened to packed-integer flat code; fastest) or $(b,strings) (the \
-     original string-keyed path, kept as the differential-testing \
-     reference)."
+    "Evaluation kernel for the exact/possible engines: $(b,compiled) \
+     (integer-coded constants, incremental quotients, plans and formulas \
+     flattened to packed-integer flat code — the default) or $(b,strings) \
+     (the paper-faithful string-keyed path, kept as the \
+     differential-testing reference)."
   in
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("interned", Certain.Interned);
-             ("compiled", Certain.Compiled);
-             ("strings", Certain.Strings);
-           ])
-        Certain.Interned
+        (enum [ ("compiled", Certain.Compiled); ("strings", Certain.Strings) ])
+        Certain.Compiled
     & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
 let backend_arg =
@@ -1005,8 +999,7 @@ let mutate_cmd =
                  kernel prepares against the mutated database directly
                  — same answers, by the kernel-parity contract. *)
               Certain.prepare ~kernel (Incr_session.db session) q
-            | Certain.Interned | Certain.Compiled ->
-              Incr_session.prepare ~kernel session q
+            | Certain.Compiled -> Incr_session.prepare session q
           in
           if Query.is_boolean q then
             let verdict, _ = Certain.prepared_certain_boolean_stats prepared in

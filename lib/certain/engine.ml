@@ -14,7 +14,6 @@ module Obs = Vardi_obs.Obs
 module Symtab = Vardi_interned.Symtab
 module Irel = Vardi_interned.Irel
 module Iplan = Vardi_interned.Iplan
-module Ieval = Vardi_interned.Ieval
 module Iscan = Vardi_interned.Iscan
 module Icode = Vardi_interned.Icode
 
@@ -24,7 +23,6 @@ type algorithm =
 
 type kernel =
   | Strings
-  | Interned
   | Compiled
 
 type order = Vardi_cwdb.Partition.order =
@@ -277,9 +275,9 @@ let drive ~domains ~cancel ~stop consume thunks =
 (* Quantification over structures: search for one whose [check] equals
    [target] ([target = false] refutes a universal, [target = true]
    witnesses an existential), with an atomic early-exit flag shared by
-   all workers. *)
-let search ~domains ~cancel ~target thunks check =
-  let started = now_ns () in
+   all workers. [started] is when the entry point began, so [wall_ns]
+   also covers the preparation that precedes the scan. *)
+let search ~started ~domains ~cancel ~target thunks check =
   let found = Atomic.make false in
   let examined =
     drive ~domains ~cancel
@@ -300,86 +298,35 @@ let search ~domains ~cancel ~target thunks check =
       interrupted = interruption cancel ~decided:found;
     } )
 
-(* --- decision entry points ---------------------------------------- *)
+(* --- per-tuple entry points ----------------------------------------- *)
 
-(* Per-tuple and Boolean deciders: quantify [check] over the structure
-   stream of the selected kernel. All kernels enumerate structures in
-   the same order — [Compiled] shares the interned stream outright —
-   so stats (and capped verdicts) agree. *)
-(* [search] is instantiated at a different structure type per kernel,
-   so the dispatch happens here rather than via a first-class
-   quantifier argument (which would force one monomorphic type). *)
-(* [?source] lets a prepared query (see the plan-cache API below) reuse
-   the interned database — or an incremental session's cached stream —
-   instead of re-interning it on every call. [?wrap_check] wraps the
-   per-structure check (a session's per-query memo); the wrapper sees
-   the same structures at the same positions, so stats and positional
-   caps are unchanged whether or not it hits. *)
-let decide_member ~target ~algorithm ~order ~domains ~cancel ~kernel ?source
-    lb q tuple =
+(* Quantify the membership check over the structure stream of the
+   selected kernel. Both kernels enumerate structures in the same order
+   — [Compiled] walks the interned stream — so stats (and capped
+   verdicts) agree. [search] is instantiated at a different structure
+   type per kernel, so the dispatch happens here rather than via a
+   first-class quantifier argument (which would force one monomorphic
+   type). *)
+let decide_member ~target ~algorithm ~order ~domains ~cancel ~kernel lb q
+    tuple =
+  let started = now_ns () in
   match kernel with
   | Strings ->
-    search ~domains ~cancel ~target
+    search ~started ~domains ~cancel ~target
       (structure_thunks algorithm order lb)
       (fun s -> Eval.member s.image q (List.map s.rename tuple))
-  | Interned ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let codes = Symtab.code_tuple (Iscan.symtab source.source_plan) tuple in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      (fun (s : Iscan.structure) ->
-        Ieval.member s.idb q (rename_row s.rename codes))
   | Compiled ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let tab = Iscan.symtab source.source_plan in
+    let plan = Iscan.prepare lb in
+    let tab = Iscan.symtab plan in
     let codes = Symtab.code_tuple tab tuple in
     let cm = Icode.compile_member tab q in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
+    search ~started ~domains ~cancel ~target
+      (interned_thunks algorithm order plan)
       (fun (s : Iscan.structure) ->
         Icode.run_member s.idb cm (rename_row s.rename codes))
 
-let decide_boolean ~target ~algorithm ~order ~domains ~cancel ~kernel ?source
-    ?wrap_check lb body =
-  match kernel with
-  | Strings ->
-    search ~domains ~cancel ~target
-      (structure_thunks algorithm order lb)
-      (fun s -> Eval.satisfies s.image body)
-  | Interned ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let check (s : Iscan.structure) = Ieval.satisfies s.idb body in
-    let check = match wrap_check with Some w -> w check | None -> check in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      check
-  | Compiled ->
-    let source =
-      match source with
-      | Some source -> source
-      | None -> source_of_plan (Iscan.prepare lb)
-    in
-    let cs = Icode.compile_sentence (Iscan.symtab source.source_plan) body in
-    let check (s : Iscan.structure) = Icode.run_sentence s.idb cs in
-    let check = match wrap_check with Some w -> w check | None -> check in
-    search ~domains ~cancel ~target
-      (source.source_thunks algorithm order)
-      check
-
 let certain_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q
     tuple =
   validate lb q;
   validate_tuple lb q tuple;
@@ -397,24 +344,8 @@ let certain_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
     (certain_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
        tuple)
 
-let certain_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
-  validate lb q;
-  if not (Query.is_boolean q) then
-    invalid_arg "Certain.certain_boolean: the query has answer variables";
-  let body = Query.body q in
-  Obs.span "certain.boolean" (fun () ->
-      let refuted, stats =
-        decide_boolean ~target:false ~algorithm ~order ~domains ~cancel
-          ~kernel lb body
-      in
-      (not refuted, stats))
-
-let certain_boolean ?algorithm ?order ?domains ?cancel ?kernel lb q =
-  fst (certain_boolean_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
-
 let possible_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q
     tuple =
   validate lb q;
   validate_tuple lb q tuple;
@@ -429,20 +360,7 @@ let possible_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
     (possible_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
        tuple)
 
-let possible_boolean_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
-  validate lb q;
-  if not (Query.is_boolean q) then
-    invalid_arg "Certain.possible_boolean: the query has answer variables";
-  let body = Query.body q in
-  Obs.span "certain.possible_boolean" (fun () ->
-      decide_boolean ~target:true ~algorithm ~order ~domains ~cancel ~kernel
-        lb body)
-
-let possible_boolean ?algorithm ?order ?domains ?cancel ?kernel lb q =
-  fst (possible_boolean_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
-
-(* --- whole-answer entry points ------------------------------------ *)
+(* --- per-query preparation ------------------------------------------ *)
 
 (* Per-query work hoisted out of the per-structure loop: one NNF pass,
    one compilation to relational algebra, one optimizer pass. The plan
@@ -456,6 +374,136 @@ let prepare_answer lb q =
   | Some plan -> fun s -> Algebra.run s.image plan
   | None -> fun s -> Eval.answer s.image q
 
+(* The compiled mirror of [prepare_answer]: the algebra plan is interned
+   once against the scan's symtab ([Iplan]) and compiled to a packed
+   instruction program ([Icode]), so per-structure evaluation touches no
+   strings at all; queries the algebra cannot express compile to a
+   register-machine enumerator. The second component is the packed
+   survivor-filter probe: it tests membership in a structure's image
+   answer without unpacking it into rows ([Icode.exec_member]). *)
+let prepare_answer_compiled lb tab q =
+  match
+    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
+  with
+  | Some iplan ->
+    let prog = Icode.compile_plan tab iplan in
+    ( (fun (s : Iscan.structure) -> Icode.exec s.idb prog),
+      Some
+        (fun (s : Iscan.structure) ->
+          Icode.exec_member s.idb prog ~rename:s.rename) )
+  | None ->
+    let ca = Icode.compile_answer tab q in
+    ((fun (s : Iscan.structure) -> Icode.run_answer s.idb ca), None)
+
+let prepare_check_compiled tab q =
+  let cs = Icode.compile_sentence tab (Query.body q) in
+  fun (s : Iscan.structure) -> Icode.run_sentence s.idb cs
+
+(* A [prepared] bundles everything per-(database, query, kernel) that a
+   scan needs besides the structures themselves: for [Compiled], the
+   interned database ([Iscan.prepare] — symtab, coded facts, per-depth
+   buckets) behind a [scan_source], and the compiled per-structure
+   evaluator — the image-answer program for relational queries, the
+   sentence check for Boolean ones. All pieces are immutable after
+   preparation, so one prepared query can serve any number of
+   concurrent scans — the serve layer's plan cache counts on it. A
+   runner asked for the evaluator a query was not prepared for (the
+   whole answer of a Boolean query) compiles it on the fly. *)
+type prepared = {
+  p_lb : Cw_database.t;
+  p_query : Query.t;
+  p_impl : prepared_impl;
+}
+
+and prepared_impl =
+  | Prepared_strings of (structure -> Relation.t) option
+  | Prepared_compiled of compiled
+
+and compiled = {
+  c_source : scan_source;
+  c_answer : (Iscan.structure -> Irel.t) option;
+  c_probe : (Iscan.structure -> int array -> bool) option;
+  c_check : (Iscan.structure -> bool) option;
+}
+
+(* [relational] selects the evaluator: the image answer (whole-answer
+   runners) or the sentence check (Boolean deciders). A [wrap_answer]
+   (a session's memo) must observe every image, so it drops the packed
+   probe in favour of the materializing closure it wraps. *)
+let compiled ~source ?wrap_answer ?wrap_check ~relational lb q =
+  let tab = Iscan.symtab source.source_plan in
+  let wrap w f = match w with Some w -> w f | None -> f in
+  if relational then
+    let image, probe = prepare_answer_compiled lb tab q in
+    {
+      c_source = source;
+      c_answer = Some (wrap wrap_answer image);
+      c_probe = (if Option.is_some wrap_answer then None else probe);
+      c_check = None;
+    }
+  else
+    {
+      c_source = source;
+      c_answer = None;
+      c_probe = None;
+      c_check = Some (wrap wrap_check (prepare_check_compiled tab q));
+    }
+
+let prepare_unchecked ~kernel ~relational lb q =
+  Obs.span "certain.prepare" (fun () ->
+      let impl =
+        match kernel with
+        | Strings ->
+          Prepared_strings
+            (if relational then Some (prepare_answer lb q) else None)
+        | Compiled ->
+          Prepared_compiled
+            (compiled
+               ~source:(source_of_plan (Iscan.prepare lb))
+               ~relational lb q)
+      in
+      { p_lb = lb; p_query = q; p_impl = impl })
+
+let prepare ?(kernel = Compiled) lb q =
+  validate lb q;
+  prepare_unchecked ~kernel ~relational:(not (Query.is_boolean q)) lb q
+
+let prepare_with ~source ?wrap_answer ?wrap_check lb q =
+  validate lb q;
+  Obs.span "certain.prepare" (fun () ->
+      {
+        p_lb = lb;
+        p_query = q;
+        p_impl =
+          Prepared_compiled
+            (compiled ~source ?wrap_answer ?wrap_check
+               ~relational:(not (Query.is_boolean q)) lb q);
+      })
+
+let prepared_db p = p.p_lb
+let prepared_query p = p.p_query
+
+let prepared_kernel p =
+  match p.p_impl with
+  | Prepared_strings _ -> Strings
+  | Prepared_compiled _ -> Compiled
+
+let strings_answer p = function
+  | Some f -> f
+  | None ->
+    Obs.span "certain.prepare" (fun () -> prepare_answer p.p_lb p.p_query)
+
+let compiled_answer p c =
+  match c.c_answer with
+  | Some f -> (f, c.c_probe)
+  | None ->
+    Obs.span "certain.prepare" (fun () ->
+        prepare_answer_compiled p.p_lb
+          (Iscan.symtab c.c_source.source_plan)
+          p.p_query)
+
+(* --- whole-answer runners ------------------------------------------- *)
+
 (* [|C|^k], saturating at [max_int] — only used for the
    pruned-candidates counter, never for enumeration. *)
 let candidate_count lb k =
@@ -467,170 +515,83 @@ let candidate_count lb k =
   in
   go 1 k
 
-(* Interned mirror of [prepare_answer]: the compiled plan is interned
-   once against the scan's symtab, so per-structure evaluation touches
-   no strings at all. Queries the algebra cannot express fall back to
-   the interned Tarskian evaluator. *)
-let prepare_answer_interned lb tab q =
-  match
-    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
-  with
-  | Some iplan -> fun (s : Iscan.structure) -> Iplan.run s.idb iplan
-  | None -> fun s -> Ieval.answer s.idb q
+(* The relation operations the whole-answer scans need, so one survivor
+   loop serves both kernels' representations: [Relation.t] over
+   constant names, or [Irel.t] over codes (converted back to names only
+   for the result). *)
+type ('rel, 'row) rel_ops = {
+  cardinal : 'rel -> int;
+  is_empty : 'rel -> bool;
+  diff : 'rel -> 'rel -> 'rel;
+  union : 'rel -> 'rel -> 'rel;
+  filter : ('row -> bool) -> 'rel -> 'rel;
+  to_relation : 'rel -> Relation.t;
+}
 
-(* Flat-code mirror of [prepare_answer_interned]: the interned plan is
-   further compiled to a packed instruction program (Icode), and the
-   non-algebra fallback to a register-machine enumerator. Both
-   compilers are total — anything they cannot compile faithfully runs
-   through the interpreters they mirror — so this stays drop-in
-   observationally equal to the interned preparer. *)
-let prepare_answer_compiled lb tab q =
-  match
-    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
-  with
-  | Some iplan ->
-    let prog = Icode.compile_plan tab iplan in
-    fun (s : Iscan.structure) -> Icode.exec s.idb prog
-  | None ->
-    let ca = Icode.compile_answer tab q in
-    fun s -> Icode.run_answer s.idb ca
+let strings_ops =
+  {
+    cardinal = Relation.cardinal;
+    is_empty = Relation.is_empty;
+    diff = Relation.diff;
+    union = Relation.union;
+    filter = Relation.filter;
+    to_relation = Fun.id;
+  }
 
-(* [prepare_answer_compiled] plus the packed survivor-filter probe: the
-   second component tests membership in the structure's image answer
-   without unpacking it into rows ([Icode.exec_member]). Only the
-   direct (non-prepared) scan uses it — prepared/session paths keep the
-   materializing closure so their memo wrappers observe every image. *)
-let prepare_member_compiled lb tab q =
-  match
-    Option.bind (Compile.prepared (Ph.ph1 lb) q) (Iplan.of_algebra tab)
-  with
-  | Some iplan ->
-    let prog = Icode.compile_plan tab iplan in
-    ( (fun (s : Iscan.structure) -> Icode.exec s.idb prog),
-      fun (s : Iscan.structure) ->
-        Icode.exec_member s.idb prog ~rename:s.rename )
-  | None ->
-    let ca = Icode.compile_answer tab q in
-    ( (fun (s : Iscan.structure) -> Icode.run_answer s.idb ca),
-      fun (s : Iscan.structure) ->
-        let ia = Icode.run_answer s.idb ca in
-        fun row -> Irel.mem (rename_row s.rename row) ia )
+let interned_ops tab =
+  {
+    cardinal = Irel.cardinal;
+    is_empty = Irel.is_empty;
+    diff = Irel.diff;
+    union = Irel.union;
+    filter = Irel.filter;
+    to_relation = Irel.to_relation tab;
+  }
 
-let answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep ?member lb
-    q =
-  let started = now_ns () in
-  let source, image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with
-        | Some prep -> prep
-        | None ->
-          let plan = Iscan.prepare lb in
-          ( source_of_plan plan,
-            prepare_answer_interned lb (Iscan.symtab plan) q ))
+(* Both scans start from the discrete structure (Ph₁ under the identity
+   renaming — always a valid structure), evaluated once as the seed. *)
+let seed_span seed =
+  Obs.span "certain.seed" (fun () ->
+      let seed = seed () in
+      Obs.count "certain.structures" 1;
+      Obs.count "certain.evaluations" 1;
+      seed)
+
+let update cell f =
+  let rec loop () =
+    let cur = Atomic.get cell in
+    if not (Atomic.compare_and_set cell cur (f cur)) then loop ()
   in
-  let plan = source.source_plan in
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (source.source_discrete ()) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
-  let pruned = candidate_count lb (Query.arity q) - Irel.cardinal seed in
+  loop ()
+
+(* [member s] tests a candidate row against structure [s]'s image
+   answer under [s]'s renaming. Pruning: the certain answer is contained
+   in the answer over every structure, in particular the discrete one,
+   so seeding the survivor set from it replaces the full |C|^k candidate
+   relation. *)
+let answer_scan ops ~started ~algorithm ~order ~domains ~cancel ~seed ~member
+    lb q thunks =
+  let seed = seed_span seed in
+  let pruned = candidate_count lb (Query.arity q) - ops.cardinal seed in
   Obs.count "certain.pruned" pruned;
   let survivors = Atomic.make seed in
-  let remove doomed =
-    let rec loop () =
-      let cur = Atomic.get survivors in
-      let next = Irel.diff cur doomed in
-      if not (Atomic.compare_and_set survivors cur next) then loop ()
-    in
-    loop ()
-  in
-  let consume (s : Iscan.structure) =
-    let mem_row =
-      match member with
-      | Some m -> m s
-      | None ->
-        let ia = image_answer s in
-        fun row -> Irel.mem (rename_row s.rename row) ia
-    in
-    let snapshot = Atomic.get survivors in
-    let doomed = Irel.filter (fun row -> not (mem_row row)) snapshot in
-    if not (Irel.is_empty doomed) then remove doomed
-  in
-  let examined =
-    drive ~domains ~cancel
-      ~stop:(fun () -> Irel.is_empty (Atomic.get survivors))
-      consume
-      (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (source.source_thunks algorithm order)))
-  in
-  let result = Atomic.get survivors in
-  let early = Irel.is_empty result in
-  Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( Irel.to_relation (Iscan.symtab plan) result,
-    {
-      structures = examined + 1;
-      evaluations = examined + 1;
-      early_exit = early;
-      pruned_candidates = pruned;
-      wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
-      interrupted = interruption cancel ~decided:early;
-    } )
-
-let answer_stats_strings ~algorithm ~order ~domains ~cancel ?prep lb q =
-  let started = now_ns () in
-  let image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with Some f -> f | None -> prepare_answer lb q)
-  in
-  (* Pruning: the certain answer is contained in the answer over every
-     structure, in particular the discrete one (Ph₁ under the identity
-     renaming — always a valid structure). Seeding the survivor set
-     from it replaces the full |C|^k candidate relation. *)
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (discrete_structure lb) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
-  let pruned = candidate_count lb (Query.arity q) - Relation.cardinal seed in
-  Obs.count "certain.pruned" pruned;
-  let survivors = Atomic.make seed in
-  let remove doomed =
-    let rec loop () =
-      let cur = Atomic.get survivors in
-      let next = Relation.diff cur doomed in
-      if not (Atomic.compare_and_set survivors cur next) then loop ()
-    in
-    loop ()
-  in
   let consume s =
-    let ia = image_answer s in
-    let snapshot = Atomic.get survivors in
-    let doomed =
-      Relation.filter
-        (fun tuple -> not (Relation.mem (List.map s.rename tuple) ia))
-        snapshot
-    in
-    if not (Relation.is_empty doomed) then remove doomed
+    let mem_row = member s in
+    let doomed = ops.filter (fun row -> not (mem_row row)) (Atomic.get survivors) in
+    if not (ops.is_empty doomed) then
+      update survivors (fun cur -> ops.diff cur doomed)
   in
   let examined =
     drive ~domains ~cancel
-      ~stop:(fun () -> Relation.is_empty (Atomic.get survivors))
+      ~stop:(fun () -> ops.is_empty (Atomic.get survivors))
       consume
       (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (structure_thunks algorithm order lb)))
+         (rest_after_discrete algorithm order thunks))
   in
   let result = Atomic.get survivors in
-  let early = Relation.is_empty result in
+  let early = ops.is_empty result in
   Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( result,
+  ( ops.to_relation result,
     {
       structures = examined + 1;
       evaluations = examined + 1;
@@ -640,330 +601,202 @@ let answer_stats_strings ~algorithm ~order ~domains ~cancel ?prep lb q =
       domains_used = worker_count domains;
       interrupted = interruption cancel ~decided:early;
     } )
+
+(* The candidate relation is built once (not per structure); the
+   discrete structure seeds the found set — every tuple it answers is
+   witnessed and needs no further search. *)
+let possible_scan ops ~started ~algorithm ~order ~domains ~cancel
+    ~all_candidates ~seed ~member thunks =
+  let total = ops.cardinal all_candidates in
+  let seed = seed_span seed in
+  Obs.count "certain.pruned" (ops.cardinal seed);
+  let found = Atomic.make seed in
+  let saturated () = ops.cardinal (Atomic.get found) >= total in
+  let consume s =
+    let mem_row = member s in
+    let remaining = ops.diff all_candidates (Atomic.get found) in
+    let gained = ops.filter mem_row remaining in
+    if not (ops.is_empty gained) then
+      update found (fun cur -> ops.union cur gained)
+  in
+  let examined =
+    drive ~domains ~cancel ~stop:saturated consume
+      (admit_within cancel ~structures:1 ~evaluations:1
+         (rest_after_discrete algorithm order thunks))
+  in
+  let result = Atomic.get found in
+  let early = ops.cardinal result >= total in
+  Obs.count "certain.early_exit" (if early then 1 else 0);
+  ( ops.to_relation result,
+    {
+      structures = examined + 1;
+      evaluations = examined + 1;
+      early_exit = early;
+      pruned_candidates = ops.cardinal seed;
+      wall_ns = Int64.sub (now_ns ()) started;
+      domains_used = worker_count domains;
+      interrupted = interruption cancel ~decided:early;
+    } )
+
+let strings_member image_answer s =
+  let ia = image_answer s in
+  fun tuple -> Relation.mem (List.map s.rename tuple) ia
+
+(* A packed probe tests a row without materializing the image answer;
+   otherwise the image answer is built and searched. *)
+let compiled_member image_answer probe (s : Iscan.structure) =
+  match probe with
+  | Some probe -> probe s
+  | None ->
+    let ia = image_answer s in
+    fun row -> Irel.mem (rename_row s.rename row) ia
+
+(* The whole-answer runners: one scan per relation representation, the
+   kernel fixed at preparation. *)
+let run_answer ~started ~algorithm ~order ~domains ~cancel p =
+  match p.p_impl with
+  | Prepared_strings ia ->
+    let image_answer = strings_answer p ia in
+    answer_scan strings_ops ~started ~algorithm ~order ~domains ~cancel
+      ~seed:(fun () -> image_answer (discrete_structure p.p_lb))
+      ~member:(strings_member image_answer) p.p_lb p.p_query
+      (structure_thunks algorithm order p.p_lb)
+  | Prepared_compiled c ->
+    let image_answer, probe = compiled_answer p c in
+    answer_scan
+      (interned_ops (Iscan.symtab c.c_source.source_plan))
+      ~started ~algorithm ~order ~domains ~cancel
+      ~seed:(fun () -> image_answer (c.c_source.source_discrete ()))
+      ~member:(compiled_member image_answer probe)
+      p.p_lb p.p_query
+      (c.c_source.source_thunks algorithm order)
+
+let run_possible_answer ~started ~algorithm ~order ~domains ~cancel p =
+  let k = Query.arity p.p_query in
+  match p.p_impl with
+  | Prepared_strings ia ->
+    let image_answer = strings_answer p ia in
+    possible_scan strings_ops ~started ~algorithm ~order ~domains ~cancel
+      ~all_candidates:
+        (Relation.full ~domain:(Cw_database.constants p.p_lb) k)
+      ~seed:(fun () -> image_answer (discrete_structure p.p_lb))
+      ~member:(strings_member image_answer)
+      (structure_thunks algorithm order p.p_lb)
+  | Prepared_compiled c ->
+    let image_answer, probe = compiled_answer p c in
+    let tab = Iscan.symtab c.c_source.source_plan in
+    (* Same cap, same message as [Relation.full] on the string side. *)
+    possible_scan (interned_ops tab) ~started ~algorithm ~order ~domains
+      ~cancel
+      ~all_candidates:
+        (Irel.full ~domain:(Array.init (Symtab.size tab) Fun.id) k)
+      ~seed:(fun () -> image_answer (c.c_source.source_discrete ()))
+      ~member:(compiled_member image_answer probe)
+      (c.c_source.source_thunks algorithm order)
+
+let run_boolean ~started ~target ~algorithm ~order ~domains ~cancel p =
+  match p.p_impl with
+  | Prepared_strings _ ->
+    let body = Query.body p.p_query in
+    search ~started ~domains ~cancel ~target
+      (structure_thunks algorithm order p.p_lb)
+      (fun s -> Eval.satisfies s.image body)
+  | Prepared_compiled c ->
+    let check =
+      match c.c_check with
+      | Some check -> check
+      | None ->
+        prepare_check_compiled (Iscan.symtab c.c_source.source_plan) p.p_query
+    in
+    search ~started ~domains ~cancel ~target
+      (c.c_source.source_thunks algorithm order)
+      check
+
+(* --- whole-answer and Boolean entry points -------------------------- *)
+
+(* Every entry point below is a preparation followed by a runner; the
+   unprepared ones prepare inside their own span, so the span tree and
+   [wall_ns] cover the whole call either way. *)
+let timed ~span run prepared =
+  Obs.span span (fun () ->
+      let started = now_ns () in
+      run ~started (prepared ()))
 
 let answer_stats ?(algorithm = Kernel_partitions) ?(order = Fresh_first)
-    ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
+    ?(domains = 1) ?cancel ?(kernel = Compiled) lb q =
   validate lb q;
-  Obs.span "certain.answer" (fun () ->
-      match kernel with
-      | Strings -> answer_stats_strings ~algorithm ~order ~domains ~cancel lb q
-      | Interned ->
-        answer_stats_interned ~algorithm ~order ~domains ~cancel lb q
-      | Compiled ->
-        let plan = Iscan.prepare lb in
-        let image_answer, member =
-          prepare_member_compiled lb (Iscan.symtab plan) q
-        in
-        answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:(source_of_plan plan, image_answer)
-          ~member lb q)
+  timed ~span:"certain.answer"
+    (run_answer ~algorithm ~order ~domains ~cancel)
+    (fun () -> prepare_unchecked ~kernel ~relational:true lb q)
 
 let answer ?algorithm ?order ?domains ?cancel ?kernel lb q =
   fst (answer_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
 
-let candidates lb k =
-  Relation.full ~domain:(Cw_database.constants lb) k
-
-let possible_answer_stats_interned ~algorithm ~order ~domains ~cancel ?prep lb
-    q =
-  let started = now_ns () in
-  let source, image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with
-        | Some prep -> prep
-        | None ->
-          let plan = Iscan.prepare lb in
-          ( source_of_plan plan,
-            prepare_answer_interned lb (Iscan.symtab plan) q ))
-  in
-  let plan = source.source_plan in
-  let tab = Iscan.symtab plan in
-  (* Same cap, same message as [candidates] on the string side. *)
-  let all_candidates =
-    Irel.full ~domain:(Array.init (Symtab.size tab) Fun.id) (Query.arity q)
-  in
-  let total = Irel.cardinal all_candidates in
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (source.source_discrete ()) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
-  Obs.count "certain.pruned" (Irel.cardinal seed);
-  let found = Atomic.make seed in
-  let saturated () = Irel.cardinal (Atomic.get found) >= total in
-  let add gained =
-    let rec loop () =
-      let cur = Atomic.get found in
-      let next = Irel.union cur gained in
-      if not (Atomic.compare_and_set found cur next) then loop ()
-    in
-    loop ()
-  in
-  let consume (s : Iscan.structure) =
-    let ia = image_answer s in
-    let remaining = Irel.diff all_candidates (Atomic.get found) in
-    let gained =
-      Irel.filter (fun row -> Irel.mem (rename_row s.rename row) ia) remaining
-    in
-    if not (Irel.is_empty gained) then add gained
-  in
-  let examined =
-    drive ~domains ~cancel ~stop:saturated consume
-      (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (source.source_thunks algorithm order)))
-  in
-  let result = Atomic.get found in
-  let early = Irel.cardinal result >= total in
-  Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( Irel.to_relation tab result,
-    {
-      structures = examined + 1;
-      evaluations = examined + 1;
-      early_exit = early;
-      pruned_candidates = Irel.cardinal seed;
-      wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
-      interrupted = interruption cancel ~decided:early;
-    } )
-
-let possible_answer_stats_strings ~algorithm ~order ~domains ~cancel ?prep lb
-    q =
-  let started = now_ns () in
-  let image_answer =
-    Obs.span "certain.prepare" (fun () ->
-        match prep with Some f -> f | None -> prepare_answer lb q)
-  in
-  (* The candidate relation is built once (not per structure); the
-     discrete structure seeds the found set — every tuple it answers is
-     witnessed and needs no further search. *)
-  let all_candidates = candidates lb (Query.arity q) in
-  let total = Relation.cardinal all_candidates in
-  let seed =
-    Obs.span "certain.seed" (fun () ->
-        let seed = image_answer (discrete_structure lb) in
-        Obs.count "certain.structures" 1;
-        Obs.count "certain.evaluations" 1;
-        seed)
-  in
-  Obs.count "certain.pruned" (Relation.cardinal seed);
-  let found = Atomic.make seed in
-  let saturated () = Relation.cardinal (Atomic.get found) >= total in
-  let add gained =
-    let rec loop () =
-      let cur = Atomic.get found in
-      let next = Relation.union cur gained in
-      if not (Atomic.compare_and_set found cur next) then loop ()
-    in
-    loop ()
-  in
-  let consume s =
-    let ia = image_answer s in
-    let remaining = Relation.diff all_candidates (Atomic.get found) in
-    let gained =
-      Relation.filter
-        (fun tuple -> Relation.mem (List.map s.rename tuple) ia)
-        remaining
-    in
-    if not (Relation.is_empty gained) then add gained
-  in
-  let examined =
-    drive ~domains ~cancel ~stop:saturated consume
-      (admit_within cancel ~structures:1 ~evaluations:1
-         (rest_after_discrete algorithm order
-            (structure_thunks algorithm order lb)))
-  in
-  let result = Atomic.get found in
-  let early = Relation.cardinal result >= total in
-  Obs.count "certain.early_exit" (if early then 1 else 0);
-  ( result,
-    {
-      structures = examined + 1;
-      evaluations = examined + 1;
-      early_exit = early;
-      pruned_candidates = Relation.cardinal seed;
-      wall_ns = Int64.sub (now_ns ()) started;
-      domains_used = worker_count domains;
-      interrupted = interruption cancel ~decided:early;
-    } )
+let prepared_answer_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
+  timed ~span:"certain.answer"
+    (run_answer ~algorithm ~order ~domains ~cancel)
+    (fun () -> p)
 
 let possible_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Interned) lb q =
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q =
   validate lb q;
-  Obs.span "certain.possible_answer" (fun () ->
-      match kernel with
-      | Strings ->
-        possible_answer_stats_strings ~algorithm ~order ~domains ~cancel lb q
-      | Interned ->
-        possible_answer_stats_interned ~algorithm ~order ~domains ~cancel lb q
-      | Compiled ->
-        let plan = Iscan.prepare lb in
-        possible_answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:
-            ( source_of_plan plan,
-              prepare_answer_compiled lb (Iscan.symtab plan) q )
-          lb q)
+  timed ~span:"certain.possible_answer"
+    (run_possible_answer ~algorithm ~order ~domains ~cancel)
+    (fun () -> prepare_unchecked ~kernel ~relational:true lb q)
 
 let possible_answer ?algorithm ?order ?domains ?cancel ?kernel lb q =
   fst (possible_answer_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
 
-(* --- prepared queries (the plan-cache contract) -------------------- *)
-
-(* A [prepared] bundles everything per-(database, query, kernel) that
-   the entry points above rebuild on every call: the interned database
-   ([Iscan.prepare] — symtab, coded facts, per-depth buckets) and, for
-   relational queries, the compiled image-answer plan. All pieces are
-   immutable after [prepare], so one prepared query can serve any
-   number of concurrent scans — the serve layer's plan cache counts on
-   it. Boolean queries skip the compile (the deciders evaluate the body
-   directly); [prepared_answer_stats] on a Boolean-headed query falls
-   back to compiling on the fly, exactly like the unprepared path. *)
-type prepared = {
-  p_lb : Cw_database.t;
-  p_query : Query.t;
-  p_kernel : kernel;
-  p_impl : prepared_impl;
-}
-
-and prepared_impl =
-  | Prepared_strings of (structure -> Relation.t) option
-  | Prepared_interned of {
-      pi_source : scan_source;
-      pi_answer : (Iscan.structure -> Irel.t) option;
-      pi_check :
-        ((Iscan.structure -> bool) -> Iscan.structure -> bool) option;
-    }
-
-let prepare ?(kernel = Interned) lb q =
-  validate lb q;
-  Obs.span "certain.prepare" (fun () ->
-      let impl =
-        match kernel with
-        | Strings ->
-          Prepared_strings
-            (if Query.is_boolean q then None else Some (prepare_answer lb q))
-        | Interned ->
-          let plan = Iscan.prepare lb in
-          Prepared_interned
-            {
-              pi_source = source_of_plan plan;
-              pi_answer =
-                (if Query.is_boolean q then None
-                 else Some (prepare_answer_interned lb (Iscan.symtab plan) q));
-              pi_check = None;
-            }
-        | Compiled ->
-          let plan = Iscan.prepare lb in
-          Prepared_interned
-            {
-              pi_source = source_of_plan plan;
-              pi_answer =
-                (if Query.is_boolean q then None
-                 else Some (prepare_answer_compiled lb (Iscan.symtab plan) q));
-              pi_check = None;
-            }
-      in
-      { p_lb = lb; p_query = q; p_kernel = kernel; p_impl = impl })
-
-let prepare_with ?(kernel = Interned) ~source ?wrap_answer ?wrap_check lb q =
-  validate lb q;
-  let prepare_base =
-    match kernel with
-    | Interned -> prepare_answer_interned
-    | Compiled -> prepare_answer_compiled
-    | Strings ->
-      invalid_arg "Certain.prepare_with: kernel must be Interned or Compiled"
-  in
-  Obs.span "certain.prepare" (fun () ->
-      let pi_answer =
-        if Query.is_boolean q then None
-        else
-          let base = prepare_base lb (Iscan.symtab source.source_plan) q in
-          Some (match wrap_answer with Some w -> w base | None -> base)
-      in
-      {
-        p_lb = lb;
-        p_query = q;
-        p_kernel = kernel;
-        p_impl =
-          Prepared_interned { pi_source = source; pi_answer; pi_check = wrap_check };
-      })
-
-let prepared_db p = p.p_lb
-let prepared_query p = p.p_query
-let prepared_kernel p = p.p_kernel
-
-(* Boolean-headed prepared queries carry no answer closure; rebuild one
-   on the fly with the kernel the query was prepared for. ([Strings]
-   never pairs with [Prepared_interned]; the branch is just totality.) *)
-let prepared_image_answer p pi_source =
-  let tab = Iscan.symtab pi_source.source_plan in
-  match p.p_kernel with
-  | Compiled -> prepare_answer_compiled p.p_lb tab p.p_query
-  | Strings | Interned -> prepare_answer_interned p.p_lb tab p.p_query
-
-let prepared_answer_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
-  Obs.span "certain.answer" (fun () ->
-      match p.p_impl with
-      | Prepared_strings ia ->
-        let prep =
-          match ia with Some f -> f | None -> prepare_answer p.p_lb p.p_query
-        in
-        answer_stats_strings ~algorithm ~order ~domains ~cancel ~prep p.p_lb
-          p.p_query
-      | Prepared_interned { pi_source; pi_answer; _ } ->
-        let image_answer =
-          match pi_answer with
-          | Some f -> f
-          | None -> prepared_image_answer p pi_source
-        in
-        answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:(pi_source, image_answer) p.p_lb p.p_query)
-
 let prepared_possible_answer_stats ?(algorithm = Kernel_partitions)
     ?(order = Fresh_first) ?(domains = 1) ?cancel p =
-  Obs.span "certain.possible_answer" (fun () ->
-      match p.p_impl with
-      | Prepared_strings ia ->
-        let prep =
-          match ia with Some f -> f | None -> prepare_answer p.p_lb p.p_query
-        in
-        possible_answer_stats_strings ~algorithm ~order ~domains ~cancel ~prep
-          p.p_lb p.p_query
-      | Prepared_interned { pi_source; pi_answer; _ } ->
-        let image_answer =
-          match pi_answer with
-          | Some f -> f
-          | None -> prepared_image_answer p pi_source
-        in
-        possible_answer_stats_interned ~algorithm ~order ~domains ~cancel
-          ~prep:(pi_source, image_answer) p.p_lb p.p_query)
+  timed ~span:"certain.possible_answer"
+    (run_possible_answer ~algorithm ~order ~domains ~cancel)
+    (fun () -> p)
 
-let prepared_boolean_decide ~target ~span ~name ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
-  if not (Query.is_boolean p.p_query) then
-    invalid_arg (Printf.sprintf "Certain.%s: the query has answer variables" name);
-  let body = Query.body p.p_query in
-  Obs.span span (fun () ->
-      match p.p_impl with
-      | Prepared_strings _ ->
-        decide_boolean ~target ~algorithm ~order ~domains ~cancel
-          ~kernel:Strings p.p_lb body
-      | Prepared_interned { pi_source; pi_check; _ } ->
-        decide_boolean ~target ~algorithm ~order ~domains ~cancel
-          ~kernel:p.p_kernel ~source:pi_source ?wrap_check:pi_check p.p_lb
-          body)
+let boolean_stats ~target ~span ~name ~algorithm ~order ~domains ~cancel q
+    prepared =
+  if not (Query.is_boolean q) then
+    invalid_arg
+      (Printf.sprintf "Certain.%s: the query has answer variables" name);
+  timed ~span
+    (run_boolean ~target ~algorithm ~order ~domains ~cancel)
+    prepared
 
-let prepared_certain_boolean_stats ?algorithm ?order ?domains ?cancel p =
+let certain_boolean_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q =
+  validate lb q;
   let refuted, stats =
-    prepared_boolean_decide ~target:false ~span:"certain.boolean"
-      ~name:"prepared_certain_boolean" ?algorithm ?order ?domains ?cancel p
+    boolean_stats ~target:false ~span:"certain.boolean" ~name:"certain_boolean"
+      ~algorithm ~order ~domains ~cancel q (fun () ->
+        prepare_unchecked ~kernel ~relational:false lb q)
   in
   (not refuted, stats)
 
-let prepared_possible_boolean_stats ?algorithm ?order ?domains ?cancel p =
-  prepared_boolean_decide ~target:true ~span:"certain.possible_boolean"
-    ~name:"prepared_possible_boolean" ?algorithm ?order ?domains ?cancel p
+let certain_boolean ?algorithm ?order ?domains ?cancel ?kernel lb q =
+  fst (certain_boolean_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
+
+let possible_boolean_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q =
+  validate lb q;
+  boolean_stats ~target:true ~span:"certain.possible_boolean"
+    ~name:"possible_boolean" ~algorithm ~order ~domains ~cancel q (fun () ->
+      prepare_unchecked ~kernel ~relational:false lb q)
+
+let possible_boolean ?algorithm ?order ?domains ?cancel ?kernel lb q =
+  fst (possible_boolean_stats ?algorithm ?order ?domains ?cancel ?kernel lb q)
+
+let prepared_certain_boolean_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
+  let refuted, stats =
+    boolean_stats ~target:false ~span:"certain.boolean"
+      ~name:"prepared_certain_boolean" ~algorithm ~order ~domains ~cancel
+      p.p_query (fun () -> p)
+  in
+  (not refuted, stats)
+
+let prepared_possible_boolean_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel p =
+  boolean_stats ~target:true ~span:"certain.possible_boolean"
+    ~name:"prepared_possible_boolean" ~algorithm ~order ~domains ~cancel
+    p.p_query (fun () -> p)

@@ -77,30 +77,26 @@ type order = Vardi_cwdb.Partition.order =
   | Fresh_first
   | Merge_first
 
-(** Evaluation kernel for the structure scan. {!Interned} (the
+(** Evaluation kernel for the structure scan. {!Compiled} (the
     default) runs the whole scan on integer codes: constants are
     interned once per call into a dense symtab
     ({!Vardi_interned.Symtab}), tuples are [int array]s in sorted
-    array-backed relations ({!Vardi_interned.Irel}), compiled plans
-    execute entirely on codes ({!Vardi_interned.Iplan}), and quotient
+    array-backed relations ({!Vardi_interned.Irel}), and quotient
     images are built incrementally along the partition-enumeration
     tree, sharing unchanged relations with the parent node
-    ({!Vardi_interned.Iscan}). Strings reappear only in the returned
-    relation. {!Compiled} goes one step further: it shares the
-    interned structure stream but compiles the per-structure
-    evaluators to flat code once per call
-    ({!Vardi_interned.Icode}) — relational plans become packed-integer
-    instruction programs with pre-resolved slots and divisors, and
-    formula checks become register-allocated closure chains — so the
-    per-tuple path has no AST dispatch and no polymorphic comparison
-    at all. {!Strings} is the original string-keyed path, kept as the
-    differential-testing reference. All three kernels enumerate
-    structures in the same order, so results, stats and positional
-    budget caps agree bit-for-bit — the three-way kernel-parity fuzz
-    oracle enforces this. *)
+    ({!Vardi_interned.Iscan}). The per-structure evaluators are
+    compiled to flat code once per query ({!Vardi_interned.Icode}):
+    relational plans become packed-integer instruction programs with
+    pre-resolved slots and divisors, and formula checks become
+    register-allocated closure chains, so the per-tuple path has no
+    AST dispatch and no polymorphic comparison at all. Strings
+    reappear only in the returned relation. {!Strings} is the
+    paper-faithful string-keyed path, kept as the differential-testing
+    reference. Both kernels enumerate structures in the same order, so
+    results, stats and positional budget caps agree bit-for-bit — the
+    kernel-parity fuzz oracle enforces this. *)
 type kernel =
   | Strings
-  | Interned
   | Compiled
 
 (** Work counters for the complexity experiments and the CLI. *)
@@ -306,9 +302,11 @@ val validate : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> unit
 
     The entry points above redo per-(database, query) work on every
     call: validation, interning the database ({!Vardi_interned.Iscan}),
-    NNF, compilation to relational algebra and the optimizer pass. A
-    {!prepared} pays all of that once, up front, and can then be
-    evaluated any number of times — the contract behind the serve
+    NNF, compilation to relational algebra, the optimizer pass and
+    compilation to flat code. The whole-answer and Boolean ones are
+    exactly {!prepare} followed by the matching [prepared_*_stats]
+    runner, inside the entry point's own span. A {!prepared} pays that
+    work once, up front, and can then be evaluated any number of times — the contract behind the serve
     layer's plan cache ([Vardi_serve.Plan_cache]). Every piece inside a
     prepared query is immutable, so a single value may be evaluated
     concurrently from any number of domains. *)
@@ -317,10 +315,11 @@ val validate : Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> unit
 type prepared
 
 (** [prepare ?kernel lb q] validates [q] against [lb] and performs all
-    per-query compilation under one [certain.prepare] span. For
-    relational queries the image-answer plan is compiled eagerly; for
-    Boolean queries there is no plan to compile (the deciders evaluate
-    the body directly).
+    per-query compilation under one [certain.prepare] span: the
+    image-answer evaluator for relational queries, the sentence check
+    for Boolean ones. Under {!Compiled} the answer runner then tests
+    survivors with the allocation-free packed probe
+    ([Vardi_interned.Icode.exec_member]).
     @raise Invalid_argument as {!validate}. *)
 val prepare :
   ?kernel:kernel -> Vardi_cwdb.Cw_database.t -> Vardi_logic.Query.t -> prepared
@@ -347,23 +346,19 @@ type scan_source = {
   source_discrete : unit -> Vardi_interned.Iscan.structure;
 }
 
-(** The trivial source: fresh structures from the plan's own streams —
-    exactly what the unprepared entry points use internally. *)
-val source_of_plan : Vardi_interned.Iscan.plan -> scan_source
-
-(** [prepare_with ?kernel ~source ?wrap_answer ?wrap_check lb q] is
-    {!prepare} on the {!Interned} kernel (or {!Compiled}, via
-    [?kernel]) with the structure stream taken from [source] instead
-    of a fresh [Iscan.prepare]. [wrap_answer] wraps the compiled
-    per-structure image-answer function (a session's per-query result
-    memo); [wrap_check] likewise wraps the Boolean per-structure check
-    used by the prepared Boolean deciders. Wrappers see the same
-    structures at the same stream positions as the unwrapped scan, so
-    memo hits change no stats and move no budget caps.
-    @raise Invalid_argument as {!validate}, or if [kernel] is
-    {!Strings} (which has no interned structure stream to share). *)
+(** [prepare_with ~source ?wrap_answer ?wrap_check lb q] is
+    {!prepare} on the {!Compiled} kernel with the structure stream
+    taken from [source] instead of a fresh [Iscan.prepare].
+    [wrap_answer] wraps the compiled per-structure image-answer
+    function (a session's per-query result memo); the answer runner
+    then materializes every image through it instead of using the
+    packed probe. [wrap_check] likewise wraps the Boolean
+    per-structure check used by the prepared Boolean deciders.
+    Wrappers see the same structures at the same stream positions as
+    the unwrapped scan, so memo hits change no stats and move no
+    budget caps.
+    @raise Invalid_argument as {!validate}. *)
 val prepare_with :
-  ?kernel:kernel ->
   source:scan_source ->
   ?wrap_answer:
     ((Vardi_interned.Iscan.structure -> Vardi_interned.Irel.t) ->

@@ -12,9 +12,8 @@
     - {!Cw_database} / {!Axioms} / {!Ph} / {!Mapping} / {!Partition} /
       {!Ne_virtual} — CW logical databases (Sections 2.2, 3.1, 5);
     - {!Certain} — exact certain-answer evaluation via Theorem 1, on
-      top of the integer-coded kernel {!Symtab} / {!Irel} / {!Iplan} /
-      {!Ieval} / {!Iscan} (with the string path selectable via
-      [~kernel:Strings]);
+      top of the integer-coded kernel {!Symtab} / {!Irel} / {!Iscan} /
+      {!Icode} (with the string path selectable via [~kernel:Strings]);
     - {!Approx} / {!Translate} / {!Alpha} / {!Disagree} /
       {!Precise_simulation} — the Section 3.2 precise simulation and
       the Section 5 approximation algorithm;
@@ -85,12 +84,11 @@ module Partition = Vardi_cwdb.Partition
 module Ne_virtual = Vardi_cwdb.Ne_virtual
 module Query_check = Vardi_cwdb.Query_check
 
-(* Interned evaluation kernel (integer-coded hot path of Certain) *)
+(* Compiled evaluation kernel (integer-coded hot path of Certain) *)
 module Symtab = Vardi_interned.Symtab
 module Irel = Vardi_interned.Irel
 module Idb = Vardi_interned.Idb
 module Iplan = Vardi_interned.Iplan
-module Ieval = Vardi_interned.Ieval
 module Iscan = Vardi_interned.Iscan
 module Icode = Vardi_interned.Icode
 
@@ -135,7 +133,7 @@ module Resilient = Vardi_resilience.Resilient
 module Faults = Vardi_resilience.Faults
 
 (* Incremental evaluation: resident databases with mutations that keep
-   the interned kernel's heavy state warm across queries *)
+   the compiled kernel's heavy state warm across queries *)
 module Incr_session = Vardi_incr.Session
 
 (* Durability: per-database write-ahead log, atomic snapshots, and

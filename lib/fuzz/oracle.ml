@@ -331,14 +331,13 @@ let check_acq_parity ctx db q =
 
 (* --- the kernel-parity oracle ---
 
-   A three-way differential: the interned kernel (integer codes, array
-   tuples, shared-prefix quotients) and the compiled kernel (packed
-   flat code, register-allocated formula closures) must both be
-   observationally identical to the original string kernel: same
-   answers on every entry point, under both algorithms, both structure
-   orders, sequential and parallel. The string side is the reference —
-   it is the simplest implementation — and the other two are on
-   trial. *)
+   A two-way differential: the compiled kernel (integer codes,
+   shared-prefix quotients, packed flat code, register-allocated
+   formula closures) must be observationally identical to the string
+   kernel: same answers on every entry point, under both algorithms,
+   both structure orders, sequential and parallel. The string side is
+   the reference — it is the simplest implementation — and the
+   compiled one is on trial. *)
 
 let check_kernel_parity ctx db q =
   let n = List.length (Cw_database.constants db) in
@@ -379,32 +378,25 @@ let check_kernel_parity ctx db q =
                     (Certain.possible_answer ~kernel ~algorithm ~order ~domains
                        db q)
               in
-              let on_trial =
-                [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ]
-              in
               List.iter
                 (fun (what, run) ->
+                  let label = label (what ^ "/compiled") in
+                  let trial = run ~kernel:Certain.Compiled in
                   match guard ctx "kernel-parity" (run ~kernel:Certain.Strings)
                   with
                   | None -> ()
                   | Some (`Bool reference) ->
-                    List.iter
-                      (fun (kernel, kname) ->
-                        expect_equal_bool ctx "kernel-parity" ~reference
-                          ~label:(label (what ^ "/" ^ kname)) (fun () ->
-                            match run ~kernel () with
-                            | `Bool b -> b
-                            | `Rel _ -> assert false))
-                      on_trial
+                    expect_equal_bool ctx "kernel-parity" ~reference ~label
+                      (fun () ->
+                        match trial () with
+                        | `Bool b -> b
+                        | `Rel _ -> assert false)
                   | Some (`Rel reference) ->
-                    List.iter
-                      (fun (kernel, kname) ->
-                        expect_equal_rel ctx "kernel-parity" ~reference
-                          ~label:(label (what ^ "/" ^ kname)) (fun () ->
-                            match run ~kernel () with
-                            | `Rel r -> r
-                            | `Bool _ -> assert false))
-                      on_trial)
+                    expect_equal_rel ctx "kernel-parity" ~reference ~label
+                      (fun () ->
+                        match trial () with
+                        | `Rel r -> r
+                        | `Bool _ -> assert false))
                 [
                   ((if boolean then "certain_boolean" else "answer"), certain);
                   ( (if boolean then "possible_boolean" else "possible_answer"),
@@ -622,10 +614,10 @@ let check_fault_safety ctx ~domains ~seed db q =
 
    Cancellation and fault provenance must not depend on the kernel.
    The budget token is checked only by the shared scan scheduler —
-   never from inside [Ieval]'s bounded-SO fallback or the strings
+   never from inside [Icode]'s bounded-SO fallback or the strings
    evaluator — and the fault probe rides the same check, so a trip (or
    an injected fault) observed by the strings kernel must be observed
-   at the same position by the interned kernel: same qualified
+   at the same position by the compiled kernel: same qualified
    constructor and value, same [source]/[tripped]/[scan_failure]
    provenance, same scan counters. Each kernel runs under its own
    separately-armed fault plan with the same seed ([Faults.arm] resets
@@ -693,28 +685,26 @@ let check_resilient_kernel_parity ctx ~seed db q =
         (* Each kernel replays the same armed fault plan (same seed),
            so the summaries — including which probe tripped — must
            match position for position. *)
-        List.iter
-          (fun (kernel, kname) ->
-            match
-              guard ctx "resilient-kernel-parity" (summarize ~kernel ~policy)
-            with
-            | Some on_trial ->
-              if not (String.equal strings on_trial) then
-                add ctx "resilient-kernel-parity"
-                  (Printf.sprintf
-                     "[%s] kernels diverge under faults:\n\
-                     \  strings:  %s\n\
-                     \  %s: %s" policy_name strings kname on_trial)
-            | None -> ())
-          [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ])
+        match
+          guard ctx "resilient-kernel-parity"
+            (summarize ~kernel:Certain.Compiled ~policy)
+        with
+        | Some compiled ->
+          if not (String.equal strings compiled) then
+            add ctx "resilient-kernel-parity"
+              (Printf.sprintf
+                 "[%s] kernels diverge under faults:\n\
+                 \  strings:  %s\n\
+                 \  compiled: %s" policy_name strings compiled)
+        | None -> ())
     policies
 
 (* --- the incremental-parity oracle ---
 
    An [Incr_session] with a random mutation sequence applied must stay
    observationally identical to from-scratch evaluation on the mutated
-   database: same answers under both structure orders and both session
-   kernels (interned and compiled), and — the positional contract — identical
+   database: same answers under both structure orders on the compiled
+   session kernel, and — the positional contract — identical
    resilient summaries under a tripping budget (same qualified
    constructor, same provenance, same scan counters; a memo hit must
    occupy exactly the stream position a fresh evaluation would). The
@@ -792,25 +782,21 @@ let check_incremental_parity ctx db q =
             Printf.sprintf "step %d, %s under %s" step what ord_name
           in
           (* Answers: incremental vs the fresh strings kernel (the
-             fresh interned/compiled kernels are covered by
-             [kernel-parity]), under both session kernels. *)
-          List.iter
-            (fun (kernel, kname) ->
-              match reference with
-              | None -> ()
-              | Some (`Bool reference) ->
-                expect_equal_bool ctx oracle ~reference
-                  ~label:(label ("session answer/" ^ kname)) (fun () ->
-                    fst
-                      (Certain.prepared_certain_boolean_stats ~order
-                         (Session.prepare ~kernel session q)))
-              | Some (`Rel reference) ->
-                expect_equal_rel ctx oracle ~reference
-                  ~label:(label ("session answer/" ^ kname)) (fun () ->
-                    fst
-                      (Certain.prepared_answer_stats ~order
-                         (Session.prepare ~kernel session q))))
-            [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ];
+             fresh compiled kernel is covered by [kernel-parity]). *)
+          (match reference with
+          | None -> ()
+          | Some (`Bool reference) ->
+            expect_equal_bool ctx oracle ~reference
+              ~label:(label "session answer") (fun () ->
+                fst
+                  (Certain.prepared_certain_boolean_stats ~order
+                     (Session.prepare session q)))
+          | Some (`Rel reference) ->
+            expect_equal_rel ctx oracle ~reference
+              ~label:(label "session answer") (fun () ->
+                fst
+                  (Certain.prepared_answer_stats ~order
+                     (Session.prepare session q))));
           (* Budgets: fresh-prepared and session-prepared must trip at
              the same stream position with the same provenance. *)
           List.iter
@@ -825,29 +811,20 @@ let check_incremental_parity ctx db q =
                     (Resilient.prepared_answer_stats ~policy ~order
                        ~budget:trip_budget prepared)
               in
-              List.iter
-                (fun (kernel, kname) ->
-                  match
-                    ( guard ctx oracle
-                        (summarize (Certain.prepare ~kernel current q)),
-                      guard ctx oracle
-                        (summarize (Session.prepare ~kernel session q)) )
-                  with
-                  | Some fresh_summary, Some incr_summary ->
-                    if not (String.equal fresh_summary incr_summary) then
-                      add ctx oracle
-                        (Printf.sprintf
-                           "%s: budget behavior diverges:\n\
-                           \  fresh:       %s\n\
-                           \  incremental: %s"
-                           (label
-                              ("policy " ^ policy_name ^ "/" ^ kname))
-                           fresh_summary incr_summary)
-                  | _ -> ())
-                [
-                  (Certain.Interned, "interned");
-                  (Certain.Compiled, "compiled");
-                ])
+              match
+                ( guard ctx oracle (summarize (Certain.prepare current q)),
+                  guard ctx oracle (summarize (Session.prepare session q)) )
+              with
+              | Some fresh_summary, Some incr_summary ->
+                if not (String.equal fresh_summary incr_summary) then
+                  add ctx oracle
+                    (Printf.sprintf
+                       "%s: budget behavior diverges:\n\
+                       \  fresh:       %s\n\
+                       \  incremental: %s"
+                       (label ("policy " ^ policy_name))
+                       fresh_summary incr_summary)
+              | _ -> ())
             [ (Resilient.Fail, "Fail"); (Resilient.Partial, "Partial") ])
         [
           (Certain.Fresh_first, "Fresh_first");

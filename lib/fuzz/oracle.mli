@@ -8,7 +8,7 @@
       the exact certain-answer engine agrees with itself across
       structure orders, algorithms (Theorem 1's literal mapping
       enumeration vs kernel partitions) and worker-domain counts;
-    - [kernel-parity]: the interned evaluation kernel
+    - [kernel-parity]: the compiled evaluation kernel
       ({!Vardi_interned}) agrees with the string-keyed reference kernel
       on [answer]/[certain_boolean] and
       [possible_answer]/[possible_boolean], under both algorithms, both
@@ -47,7 +47,7 @@
       changing the engine's verdict;
     - [resilient-kernel-parity] (only with [faults_seed]): under
       separately-armed fault plans with the same seed, the strings and
-      interned kernels degrade identically — same qualified
+      compiled kernels degrade identically — same qualified
       constructor and value, same [source]/[tripped]/[scan_failure]
       provenance, same scan counters (wall-clock excluded), and under
       the [Fail] policy the same propagated fault;

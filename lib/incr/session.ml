@@ -458,7 +458,11 @@ let wrap_check t entry signature base (s : Iscan.structure) =
         then Rtbl.replace entry.qe_bools key { b_sig = signature; b_val = r });
     r
 
-let prepare ?(kernel = Certain.Interned) t q =
+let prepare ?(kernel = Certain.Compiled) t q =
+  (match kernel with
+  | Certain.Compiled -> ()
+  | Certain.Strings ->
+    invalid_arg "Incr_session.prepare: kernel must be Compiled");
   let view = locked t (fun () -> t.view) in
   let entry = query_entry t view q in
   let signature = signature_of view entry.qe_deps in
@@ -468,10 +472,7 @@ let prepare ?(kernel = Certain.Interned) t q =
     Array.iter (fun slot -> a.(slot) <- true) entry.qe_deps;
     a
   in
-  (* The memo tables are shared across kernels on purpose: both produce
-     identical per-structure results (the kernel-parity contract), so a
-     value cached under one kernel is a sound hit under the other. *)
-  Certain.prepare_with ~kernel
+  Certain.prepare_with
     ~source:(source_for t view needed)
     ~wrap_answer:(wrap_answer t entry signature)
     ~wrap_check:(wrap_check t entry signature)

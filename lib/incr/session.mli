@@ -1,5 +1,5 @@
 (** Incremental evaluation sessions: a resident CW database that keeps
-    the interned kernel's heavy state — the {!Vardi_interned.Symtab},
+    the compiled kernel's heavy state — the {!Vardi_interned.Symtab},
     the {!Vardi_interned.Iscan} partition-tree quotients, and
     per-structure evaluation results — alive across queries and
     mutations, so a query after a small delta pays only for what the
@@ -120,11 +120,11 @@ val apply : t -> mutation -> bool
     [Vardi_resilience.Resilient.prepared_*]. It captures the view at
     call time; after a mutation, call [prepare] again (the heavy state
     persists in the session, so re-preparing costs one query
-    compilation, not a rescan). [?kernel] selects [Interned] (default)
-    or [Compiled]; both share the session's structure cache and memo
-    tables — sound because the kernels are observationally identical.
+    compilation, not a rescan). [?kernel] must be [Compiled] (the
+    default): the session caches interned structures, which the
+    string-keyed reference kernel cannot use.
     @raise Invalid_argument as [Certain.prepare], or if [kernel] is
-    [Strings] (sessions cache interned structures). *)
+    [Strings]. *)
 val prepare :
   ?kernel:Vardi_certain.Engine.kernel ->
   t ->

@@ -3,7 +3,7 @@ module Term = Vardi_logic.Term
 module Query = Vardi_logic.Query
 module Eval = Vardi_relational.Eval
 
-(* Compiled mirror of [Iplan.run] and [Ieval]. Two halves:
+(* Compiled mirror of [Iplan.run] and [Eval]. Two halves:
 
    - relational plans flatten to a postfix instruction array executed
      over a stack of *packed* relations: a row of arity k over a
@@ -17,8 +17,8 @@ module Eval = Vardi_relational.Eval
      environments.
 
    Parity with the interpreters is the overriding contract: the fuzz
-   battery diffs answers, error messages and trip positions across all
-   three kernels, so anything this module cannot compile *identically*
+   battery diffs answers, error messages and trip positions across both
+   kernels, so anything this module cannot compile *identically*
    (packing overflow, malformed plans whose interpreted failure mode is
    lazy) falls back to the interpreter rather than approximating. *)
 
@@ -570,7 +570,7 @@ type check = {
 
 (* Compile-time-detectable errors become closures that raise the
    interpreter's exact error at the same evaluation point, so
-   short-circuiting hides exactly the errors [Ieval] would hide. *)
+   short-circuiting hides exactly the errors [Eval] would hide. *)
 let msg fmt = Format.asprintf fmt
 
 let eval_error m = raise (Eval.Eval_error m)
@@ -596,7 +596,7 @@ let cterm st vars = function
       let m = msg "unknown constant %s" c in
       fun (_ : rt) -> eval_error m)
 
-(* [Ieval] evaluates every argument (left to right) before the
+(* [Eval] evaluates every argument (left to right) before the
    predicate lookup, so an erroring argument outranks an unknown
    predicate — the raising path below preserves that order. *)
 let eval_args_then_raise args m =

@@ -1,10 +1,11 @@
 (** Flat-code compilation of the Theorem-1 hot loop.
 
-    [Iplan.run] and [Ieval.eval] still walk an AST for every structure
-    of the scan; after the PR-5 interning win that dispatch is the
-    dominant per-structure cost. This module compiles both evaluators
-    once per prepared query, in the WAM/PAIP tradition of flattening an
-    interpreter into straight-line code with resolved operands:
+    Interpreting a plan ([Iplan.run]) or a formula AST for every
+    structure of the scan makes AST dispatch the dominant
+    per-structure cost once constants are interned. This module
+    compiles both evaluators once per prepared query, in the WAM/PAIP
+    tradition of flattening an interpreter into straight-line code with
+    resolved operands:
 
     - {e Relational plans} ({!compile_plan}) become a postfix
       {e instruction array} over a value stack. Slot indexes, column
@@ -22,15 +23,16 @@
       {!compile_answer}) become closure chains over a mutable
       {e register file}: each first-order binder is assigned a fixed
       [int] register at compile time and each second-order binder a
-      relation register, replacing [Ieval]'s assoc-list environments;
+      relation register, replacing an interpreter's assoc-list
+      environments;
       variable and predicate names are gone before the first structure
       is evaluated. Atom membership uses the arity-specialized
       comparators below. The bounded-SO fallback enumerates
-      [Irel.subsets (Irel.full ...)] exactly as [Ieval] does, with the
-      same caps and messages.
+      [Irel.subsets (Irel.full ...)] with the same caps and messages as
+      [Eval].
 
-    Observational equivalence with [Iplan.run]/[Ieval] is a hard
-    contract (the three-way kernel-parity fuzz oracle enforces it):
+    Observational equivalence with [Iplan.run] and the string [Eval] is
+    a hard contract (the kernel-parity fuzz oracle enforces it):
     same answers, and the same [Eval.Eval_error]s with byte-identical
     messages {e at the same evaluation points} — compile-time-detectable
     errors (unknown predicate, arity clash, unbound variable) are
@@ -111,7 +113,7 @@ val max_stack : prog -> int
 type check
 
 (** [compile_sentence tab f] compiles a closed formula; mirrors
-    [Ieval.satisfies] (including the free-variable error, deferred to
+    [Eval.satisfies] (including the free-variable error, deferred to
     run time). *)
 val compile_sentence : Symtab.t -> Vardi_logic.Formula.t -> check
 
@@ -120,7 +122,7 @@ val run_sentence : Idb.t -> check -> bool
 
 (** [compile_member tab q] compiles the query body with the head
     variables pre-bound to registers [0 .. arity-1]; mirrors
-    [Ieval.member]. *)
+    [Eval.member]. *)
 val compile_member : Symtab.t -> Vardi_logic.Query.t -> check
 
 (** [run_member idb c row]: [row] holds element codes (the candidate
@@ -129,7 +131,7 @@ val run_member : Idb.t -> check -> int array -> bool
 
 (** [compile_answer tab q] compiles the direct-enumeration answer path
     — the bounded-SO fallback used when the query has no relational
-    plan; mirrors [Ieval.answer]. *)
+    plan; mirrors [Eval.answer]. *)
 val compile_answer : Symtab.t -> Vardi_logic.Query.t -> check
 
 val run_answer : Idb.t -> check -> Irel.t

@@ -29,7 +29,7 @@ type t =
   | Diff of t * t
 
 (** [None] when the expression contains a virtual relation or a symbol
-    outside the symtab; callers fall back to {!Ieval}. *)
+    outside the symtab; callers fall back to [Icode.compile_answer]. *)
 val of_algebra : Symtab.t -> Vardi_relational.Algebra.t -> t option
 
 val run : Idb.t -> t -> Irel.t

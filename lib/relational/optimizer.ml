@@ -212,9 +212,20 @@ let step db expr =
     Some (Empty (arity a + arity b))
   | Semijoin (_, (Empty _ as e), _) -> Some e
   | Semijoin (_, a, Empty _) -> Some (Empty (arity a))
-  | Semijoin (_, a, u) when is_universal u && Database.domain db <> [] ->
-    (* a universal right side is nonempty and contains every key *)
-    Some a
+  | Semijoin (pairs, a, u) when is_universal u && Database.domain db <> [] ->
+    (* A universal right side is nonempty and its columns are
+       independent, so it contains every key whose left columns agree
+       wherever two pairs share a right column: those equalities stay
+       as selections on [a]. *)
+    let _, kept =
+      List.fold_left
+        (fun (first_left, acc) (i, j) ->
+          match List.assoc_opt j first_left with
+          | None -> ((j, i) :: first_left, acc)
+          | Some i0 -> (first_left, Select (Cols_eq (i0, i), acc)))
+        ([], a) pairs
+    in
+    Some kept
   (* --- constant folding on set operations --- *)
   | Union (Empty _, e) | Union (e, Empty _) -> Some e
   | Inter ((Empty _ as e), _) | Inter (_, (Empty _ as e)) -> Some e

@@ -37,7 +37,7 @@ type eval_options = {
 
 let default_options =
   {
-    kernel = Certain.Interned;
+    kernel = Certain.Compiled;
     domains = 1;
     policy = Resilient.Fail;
     timeout = None;
@@ -84,13 +84,14 @@ let options_of_json j =
   let* kernel =
     match Json.member "kernel" j with
     | None -> result_ok default_options.kernel
-    | Some (Json.Str "interned") -> result_ok Certain.Interned
-    | Some (Json.Str "strings") -> result_ok Certain.Strings
     | Some (Json.Str "compiled") -> result_ok Certain.Compiled
+    | Some (Json.Str "strings") -> result_ok Certain.Strings
+    (* Deprecated alias, accepted for one protocol version: the
+       interned kernel is gone and [compiled] runs on its structures, so
+       an alias request shares [compiled]'s plan-cache entry. *)
+    | Some (Json.Str "interned") -> result_ok Certain.Compiled
     | Some _ ->
-      Error
-        ( "\"kernel\" must be \"interned\", \"strings\" or \"compiled\"",
-          Semantic_error )
+      Error ("\"kernel\" must be \"compiled\" or \"strings\"", Semantic_error)
   in
   let* policy =
     match Json.member "policy" j with

@@ -16,8 +16,9 @@
     {"op":"shutdown"}
     v}
 
-    [query]/[boolean] accept optional ["kernel"] ("interned" default,
-    or "strings"), ["domains"], ["policy"] ("fail" default, "partial",
+    [query]/[boolean] accept optional ["kernel"] ("compiled" default,
+    or the "strings" reference; "interned" is a deprecated alias of
+    "compiled"), ["domains"], ["policy"] ("fail" default, "partial",
     "approx"), ["timeout_ms"], ["max_structures"],
     ["max_evaluations"]. Every response carries a ["code"] from the
     exit-code taxonomy mapped onto the wire.

@@ -236,9 +236,7 @@ let evaluate state ~want_boolean ~(opts : Protocol.eval_options) entry ~db_name
             ~generation:entry.generation ~delta ~query_text
             ~kernel:opts.kernel (fun () ->
               match opts.kernel with
-              | Certain.Interned -> Session.prepare session q
-              | Certain.Compiled ->
-                Session.prepare ~kernel:Certain.Compiled session q
+              | Certain.Compiled -> Session.prepare session q
               | Certain.Strings ->
                 Certain.prepare ~kernel:Certain.Strings (Session.db session) q)
         in

@@ -295,9 +295,10 @@ let semijoin_vs_list_model =
         (Algebra.run db
            (Algebra.Semijoin (pairs, Algebra.Base "A", Algebra.Base "B"))))
 
-(* The interned kernel's Join/Semijoin agree with the string kernel
-   (on the discrete structure of a CW database, which is where the
-   interned evaluator runs). *)
+(* The interned plans' Join/Semijoin ([Iplan], the compiled kernel's
+   fallback for unpackable plans) agree with the string kernel (on the
+   discrete structure of a CW database, where the interned plans
+   run). *)
 let interned_join_parity =
   QCheck2.Test.make ~count:300 ~name:"interned Join/Semijoin = strings"
     gen_join_case

@@ -111,8 +111,9 @@ let test_budget_approx_degrades () =
 
 let test_kernel_flag () =
   with_db (fun db ->
-      (* Every kernel name answers identically; an unknown name is a
-         cmdliner enum error, exit 2. *)
+      (* Every kernel name answers identically; an unknown name
+         (including the removed interned kernel) is a cmdliner enum
+         error, exit 2. *)
       let reference = run_ldb [ "query"; db; "(x, y). TEACHES(x, y)" ] in
       List.iter
         (fun kernel ->
@@ -123,7 +124,10 @@ let test_kernel_flag () =
           Alcotest.(check int) (kernel ^ " exit code") (fst reference) code;
           Alcotest.(check string)
             (kernel ^ " answer") (snd reference) out)
-        [ "strings"; "interned"; "compiled" ];
+        [ "strings"; "compiled" ];
+      check_exit "removed interned kernel" 2
+        (run_ldb
+           [ "query"; db; "(x, y). TEACHES(x, y)"; "--kernel"; "interned" ]);
       let code, out =
         run_ldb
           [

@@ -1,6 +1,6 @@
 (* Tests for the flat-code kernel (Icode): compiled-program indices
    stay in bounds for the symtab they were compiled against,
-   compile-then-exec agrees with the interpreters (Iplan.run / Ieval)
+   compile-then-exec agrees with the interpreters (Iplan.run / Eval)
    on generated plans and generated (db, query) instances, the packed
    membership probe agrees with materialize-then-mem, and the
    arity-specialized row comparators agree with Irel.compare_rows. *)
@@ -208,20 +208,23 @@ let exec_member_agrees =
                      ia)
                candidates))
 
-(* --- compiled formulas against Ieval on generated instances ---------- *)
+(* --- compiled formulas against Eval on generated instances ----------- *)
 
 (* Reuse the fuzzer's (db, query) generator: for each instance, the
-   compiled evaluators must agree with Ieval on every structure of the
-   partition stream — answers, member verdicts and sentence verdicts,
-   including which Eval_error (if any) escapes. *)
+   compiled evaluators must agree with the string Eval on every
+   structure of the partition stream — answers, member verdicts and
+   sentence verdicts, including which Eval_error (if any) escapes. The
+   interned stream visits the same partitions as [Partition.all_valid]
+   in the same order, with the same representatives, so position [i]
+   of one is the string image of position [i] of the other. *)
 
 let eval_outcome f =
   match f () with
   | v -> Result.Ok v
   | exception Eval.Eval_error msg -> Error msg
 
-let compiled_formulas_match_ieval =
-  QCheck2.Test.make ~count:60 ~name:"compiled formulas = Ieval on instances"
+let compiled_formulas_match_eval =
+  QCheck2.Test.make ~count:60 ~name:"compiled formulas = Eval"
     ~print:(fun seed -> Printf.sprintf "instance seed %d" seed)
     QCheck2.Gen.(0 -- 10_000)
     (fun seed ->
@@ -236,16 +239,18 @@ let compiled_formulas_match_ieval =
         if Query.is_boolean query then Some (Icode.compile_sentence tab body)
         else None
       in
-      Iscan.structure_thunks plan
-      |> Seq.for_all (fun thunk ->
+      Seq.zip (Iscan.structure_thunks plan) (Partition.all_valid db)
+      |> Seq.for_all (fun (thunk, partition) ->
              let s = thunk () in
              let idb = s.Iscan.idb in
+             let image = Partition.quotient partition in
              let answers_agree =
                match
-                 ( eval_outcome (fun () -> Icode.run_answer idb ca),
-                   eval_outcome (fun () -> Ieval.answer idb query) )
+                 ( eval_outcome (fun () ->
+                       Irel.to_relation tab (Icode.run_answer idb ca)),
+                   eval_outcome (fun () -> Eval.answer image query) )
                with
-               | Result.Ok a, Result.Ok b -> Irel.equal a b
+               | Result.Ok a, Result.Ok b -> Relation.equal a b
                | Error a, Error b -> String.equal a b
                | _ -> false
              in
@@ -258,8 +263,9 @@ let compiled_formulas_match_ieval =
                          match
                            ( eval_outcome (fun () ->
                                  Icode.run_member idb cm row),
-                             eval_outcome (fun () -> Ieval.member idb query row)
-                           )
+                             eval_outcome (fun () ->
+                                 Eval.member image query
+                                   (Symtab.name_tuple tab row)) )
                          with
                          | Result.Ok a, Result.Ok b -> Bool.equal a b
                          | Error a, Error b -> String.equal a b
@@ -271,7 +277,7 @@ let compiled_formulas_match_ieval =
                | Some cs -> (
                  match
                    ( eval_outcome (fun () -> Icode.run_sentence idb cs),
-                     eval_outcome (fun () -> Ieval.satisfies idb body) )
+                     eval_outcome (fun () -> Eval.satisfies image body) )
                  with
                  | Result.Ok a, Result.Ok b -> Bool.equal a b
                  | Error a, Error b -> String.equal a b
@@ -334,7 +340,7 @@ let test_compiled_engine_parity () =
           `Bool (Certain.certain_boolean ~kernel db query)
         else `Rel (Certain.answer ~kernel db query)
       in
-      match (run Certain.Compiled, run Certain.Interned) with
+      match (run Certain.Compiled, run Certain.Strings) with
       | `Bool a, `Bool b -> check_bool text b a
       | `Rel a, `Rel b -> check Support.relation_testable text b a
       | _ -> assert false)
@@ -351,7 +357,7 @@ let test_compiled_possible_parity () =
     (fun (db, text) ->
       let query = q text in
       check Support.relation_testable text
-        (Certain.possible_answer ~kernel:Certain.Interned db query)
+        (Certain.possible_answer ~kernel:Certain.Strings db query)
         (Certain.possible_answer ~kernel:Certain.Compiled db query))
     [
       (socrates, "(x). exists y. TEACHES(x, y)");
@@ -364,6 +370,7 @@ let test_compiled_error_parity () =
   let plan = Iscan.prepare socrates in
   let tab = Iscan.symtab plan in
   let idb = (Iscan.discrete plan).Iscan.idb in
+  let ph1 = Ph.ph1 socrates in
   let trip f = match f () with _ -> None | exception Eval.Eval_error m -> Some m in
   let cases =
     [
@@ -382,8 +389,8 @@ let test_compiled_error_parity () =
         (trip (fun () -> Icode.run_sentence idb cs));
       check
         Alcotest.(option string)
-        (text ^ " (ieval)")
-        (trip (fun () -> Ieval.satisfies idb (Query.body query)))
+        (text ^ " (eval)")
+        (trip (fun () -> Eval.satisfies ph1 (Query.body query)))
         (trip (fun () -> Icode.run_sentence idb cs)))
     cases;
   (* Short-circuiting hides the error exactly as in the interpreter. *)
@@ -404,11 +411,11 @@ let test_compiled_stats_parity () =
     (s.structures, s.evaluations, s.early_exit, s.pruned_candidates)
   in
   let _, s_c = Certain.answer_stats ~kernel:Certain.Compiled socrates query in
-  let _, s_i = Certain.answer_stats ~kernel:Certain.Interned socrates query in
+  let _, s_s = Certain.answer_stats ~kernel:Certain.Strings socrates query in
   check
     Alcotest.(pair (pair int int) (pair bool int))
     "stats agree"
-    (let a, b, c, d = sig_of s_i in
+    (let a, b, c, d = sig_of s_s in
      ((a, b), (c, d)))
     (let a, b, c, d = sig_of s_c in
      ((a, b), (c, d)))
@@ -419,7 +426,7 @@ let suite =
     Support.qcheck_case mem_row_agrees;
     Support.qcheck_case compiled_plan_in_bounds_and_agrees;
     Support.qcheck_case exec_member_agrees;
-    Support.qcheck_case compiled_formulas_match_ieval;
+    Support.qcheck_case compiled_formulas_match_eval;
     Alcotest.test_case "compiled check bounds" `Quick test_check_bounds;
     Alcotest.test_case "engine parity (certain)" `Quick
       test_compiled_engine_parity;

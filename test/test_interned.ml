@@ -1,6 +1,7 @@
-(* Tests for the interned evaluation kernel: Irel set algebra against a
-   list model, enumeration-order parity with Partition.all_valid,
-   Iplan/Ieval against the string evaluators, end-to-end kernel parity
+(* Tests for the interned structures under the compiled kernel: Irel set
+   algebra against a list model, enumeration-order parity with
+   Partition.all_valid, Iplan and the Icode answer fallback against the
+   string evaluators, end-to-end compiled-vs-strings kernel parity
    (including stats and positional budget caps), and the shared
    enumeration-cap contracts. *)
 
@@ -182,7 +183,7 @@ let test_mapping_stream_parity () =
   check_int "identity appears once" 1
     (List.length (List.filter (fun r -> r = identity) renames))
 
-(* --- Iplan / Ieval against the string evaluators --------------------- *)
+(* --- Iplan / Icode against the string evaluators ---------------------- *)
 
 let queries_for db =
   ignore db;
@@ -214,10 +215,10 @@ let test_iplan_matches_algebra () =
             (Irel.to_relation tab (Iplan.run idb iplan))))
     (queries_for db)
 
-let test_ieval_matches_eval () =
+let test_icode_answer_matches_eval () =
   (* Second-order quantifiers fall outside the algebra, so they reach
-     the Ieval fallback — compare it against the string Eval on the
-     discrete structure. *)
+     the compiled direct-enumeration fallback — compare it against the
+     string Eval on the discrete structure. *)
   let db = socrates in
   let ph1 = Ph.ph1 db in
   let plan = Iscan.prepare db in
@@ -227,9 +228,10 @@ let test_ieval_matches_eval () =
     (fun text ->
       let query = q text in
       check Support.relation_testable
-        (Printf.sprintf "Ieval.answer = Eval.answer on %s" text)
+        (Printf.sprintf "Icode.run_answer = Eval.answer on %s" text)
         (Eval.answer ph1 query)
-        (Irel.to_relation tab (Ieval.answer idb query)))
+        (Irel.to_relation tab
+           (Icode.run_answer idb (Icode.compile_answer tab query))))
     ("(x). exists2 Q/1. Q(x) /\\ exists y. TEACHES(x, y)"
     :: queries_for db)
 
@@ -275,9 +277,9 @@ let test_kernel_parity_exhaustive () =
                   let label what =
                     Printf.sprintf "%s on %s (domains=%d)" what text domains
                   in
-                  let v_i, s_i = run Certain.Interned in
+                  let v_c, s_c = run Certain.Compiled in
                   let v_s, s_s = run Certain.Strings in
-                  (match (v_i, v_s) with
+                  (match (v_c, v_s) with
                   | `Bool a, `Bool b -> check_bool (label "verdict") b a
                   | `Rel a, `Rel b ->
                     check Support.relation_testable (label "answer") b a
@@ -294,7 +296,7 @@ let test_kernel_parity_exhaustive () =
                       (label "stats")
                       (let a, b, c, d, e = stats_signature s_s in
                        ((a, b), ((c, d), e)))
-                      (let a, b, c, d, e = stats_signature s_i in
+                      (let a, b, c, d, e = stats_signature s_c in
                        ((a, b), ((c, d), e))))
                 [ 1; 3 ])
             [ Certain.Fresh_first; Certain.Merge_first ])
@@ -307,7 +309,7 @@ let test_possible_parity () =
       let query = q text in
       check Support.relation_testable text
         (Certain.possible_answer ~kernel:Certain.Strings db query)
-        (Certain.possible_answer ~kernel:Certain.Interned db query))
+        (Certain.possible_answer ~kernel:Certain.Compiled db query))
     [
       (socrates, "(x). exists y. TEACHES(x, y)");
       (ripper, "(x). MURDERER(x) /\\ POLITICIAN(x)");
@@ -326,19 +328,15 @@ let test_budget_positional_parity () =
             Certain.answer_stats ~kernel ~domains ~cancel socrates query
           in
           let r_s, s_s = run Certain.Strings in
-          List.iter
-            (fun (kernel, kname) ->
-              let r_i, s_i = run kernel in
-              let label what =
-                Printf.sprintf "%s (%s) under cap %d, domains %d" what kname
-                  cap domains
-              in
-              check Support.relation_testable (label "capped answer") r_s r_i;
-              check_int (label "structures") s_s.Certain.structures
-                s_i.Certain.structures;
-              check_bool (label "interrupted agrees") true
-                (s_i.Certain.interrupted = s_s.Certain.interrupted))
-            [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ])
+          let r_c, s_c = run Certain.Compiled in
+          let label what =
+            Printf.sprintf "%s under cap %d, domains %d" what cap domains
+          in
+          check Support.relation_testable (label "capped answer") r_s r_c;
+          check_int (label "structures") s_s.Certain.structures
+            s_c.Certain.structures;
+          check_bool (label "interrupted agrees") true
+            (s_c.Certain.interrupted = s_s.Certain.interrupted))
         [ 1; 4 ])
     [ 1; 2; 3; 5; 8 ]
 
@@ -366,7 +364,7 @@ let test_mapping_cap_parity () =
     | exception Invalid_argument msg -> msg
   in
   check Alcotest.string "cap messages agree" (trip Certain.Strings)
-    (trip Certain.Interned)
+    (trip Certain.Compiled)
 
 let suite =
   [
@@ -382,8 +380,8 @@ let suite =
       test_mapping_stream_parity;
     Alcotest.test_case "Iplan matches Algebra.run" `Quick
       test_iplan_matches_algebra;
-    Alcotest.test_case "Ieval matches Eval.answer" `Quick
-      test_ieval_matches_eval;
+    Alcotest.test_case "Icode answers = Eval" `Quick
+      test_icode_answer_matches_eval;
     Alcotest.test_case "kernel parity: results and stats" `Quick
       test_kernel_parity_exhaustive;
     Alcotest.test_case "kernel parity: possible answers" `Quick

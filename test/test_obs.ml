@@ -368,7 +368,21 @@ let test_stats_match_trace_counters () =
          | Obs.Count { name = "certain.structures"; value; _ } -> acc + value
          | _ -> acc)
        0 seq_evs);
-  Alcotest.(check int) "sequential domains_used" 1 seq_stats.Certain.domains_used
+  Alcotest.(check int) "sequential domains_used" 1 seq_stats.Certain.domains_used;
+  (* The unprepared call is a preparation plus a scan inside one span,
+     and [wall_ns] covers both. *)
+  match Obs.spans seq_evs with
+  | [ { Obs.tree_name = "certain.answer"; tree_children = prepare :: seed :: chunks; _ } ] ->
+    Alcotest.(check (list string))
+      "certain.answer = prepare, seed, then chunks"
+      ("certain.prepare" :: "certain.seed"
+      :: List.map (fun _ -> "certain.chunk") chunks)
+      (List.map (fun t -> t.Obs.tree_name) (prepare :: seed :: chunks));
+    Alcotest.(check bool) "wall_ns covers preparation and seed" true
+      (Int64.compare seq_stats.Certain.wall_ns
+         (Int64.add prepare.Obs.tree_elapsed_ns seed.Obs.tree_elapsed_ns)
+       >= 0)
+  | _ -> Alcotest.fail "expected one certain.answer root"
 
 let test_parallel_equals_sequential_under_trace () =
   (* Tracing must not perturb results. *)

@@ -65,7 +65,9 @@ let test_universal_absorption () =
   check algebra_testable "diff from full twice (double complement)" r
     (opt (Algebra.Diff (full2, Algebra.Diff (full2, r))));
   check algebra_testable "diff against full" (Algebra.Empty 2)
-    (opt (Algebra.Diff (r, full2)))
+    (opt (Algebra.Diff (r, full2)));
+  check algebra_testable "semijoin on distinct columns of full" r
+    (opt (Algebra.Semijoin ([ (0, 1); (1, 0) ], r, full2)))
 
 let test_pushdown_product () =
   let e =
@@ -128,6 +130,21 @@ let test_optimized_runs_agree_fixed () =
       Algebra.Union
         ( Algebra.Inter (Algebra.Base "P", Algebra.Base "P"),
           Algebra.Project ([ 0 ], Algebra.Base "R") );
+      (* A semijoin against a universal right side must keep the
+         equalities forced where two pairs share a right column: both
+         trees were counterexamples of [optimizer_on_raw_trees] while
+         the rewrite dropped them. *)
+      Algebra.Project
+        ( [ 1; 2 ],
+          Algebra.Join
+            ( [ (0, 0); (0, 1) ],
+              Algebra.Domain,
+              Algebra.Product (Algebra.Base "P", Algebra.Base "R") ) );
+      Algebra.Semijoin
+        ( [ (0, 0); (1, 0) ],
+          Algebra.Select
+            (Algebra.Cols_eq (0, 0), Algebra.Project ([ 1; 0; 0 ], Algebra.Base "R")),
+          Algebra.Domain );
     ]
 
 (* Property: on plans compiled from random queries, optimization

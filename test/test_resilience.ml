@@ -313,10 +313,10 @@ let test_wall_ns_monotonic () =
       (Int64.compare scan.Certain.wall_ns 0L >= 0)
   | None -> Alcotest.fail "scan stats missing"
 
-(* All three evaluation kernels must degrade identically: same
-   qualified constructor and value, same provenance, same scan counters
-   (wall-clock excluded). The string kernel is the reference; interned
-   and compiled are on trial. The fuzz-side twin is the
+(* Both evaluation kernels must degrade identically: same qualified
+   constructor and value, same provenance, same scan counters
+   (wall-clock excluded). The string kernel is the reference; compiled
+   is on trial. The fuzz-side twin is the
    [resilient-kernel-parity] oracle, which additionally runs under
    injected faults. *)
 let test_kernel_parity_under_budget () =
@@ -329,38 +329,36 @@ let test_kernel_parity_under_budget () =
             Resilient.answer_stats ~policy ~kernel ~budget:tight db q
           in
           let r_s, s_s = run Certain.Strings in
-          List.iter
-            (fun (kernel, kname) ->
-              let r_i, s_i = run kernel in
-              (match (r_s, r_i) with
-              | Resilient.Exact x, Resilient.Exact y
-              | Resilient.Lower_bound x, Resilient.Lower_bound y
-              | Resilient.Upper_bound x, Resilient.Upper_bound y ->
-                Alcotest.check relation
-                  (kname ^ ": same qualified value") x y
-              | Resilient.Exhausted, Resilient.Exhausted -> ()
-              | _ ->
-                Alcotest.failf
-                  "%s disagrees with strings on the qualified constructor"
-                  kname);
-              Alcotest.(check string)
-                (kname ^ ": same source")
-                (Resilient.source_to_string s_s.Resilient.source)
-                (Resilient.source_to_string s_i.Resilient.source);
-              Alcotest.(check (option string))
-                (kname ^ ": same trip provenance")
-                (Option.map Cancel.reason_to_string s_s.Resilient.tripped)
-                (Option.map Cancel.reason_to_string s_i.Resilient.tripped);
-              match (s_s.Resilient.scan, s_i.Resilient.scan) with
-              | Some a, Some b ->
-                Alcotest.(check (pair int int))
-                  (kname ^ ": same scan counters")
-                  (a.Certain.structures, a.Certain.evaluations)
-                  (b.Certain.structures, b.Certain.evaluations)
-              | None, None -> ()
-              | _ ->
-                Alcotest.failf "%s disagrees on scan-stats presence" kname)
-            [ (Certain.Interned, "interned"); (Certain.Compiled, "compiled") ])
+          let kname = "compiled" in
+          let r_i, s_i = run Certain.Compiled in
+          (match (r_s, r_i) with
+          | Resilient.Exact x, Resilient.Exact y
+          | Resilient.Lower_bound x, Resilient.Lower_bound y
+          | Resilient.Upper_bound x, Resilient.Upper_bound y ->
+            Alcotest.check relation
+              (kname ^ ": same qualified value") x y
+          | Resilient.Exhausted, Resilient.Exhausted -> ()
+          | _ ->
+            Alcotest.failf
+              "%s disagrees with strings on the qualified constructor"
+              kname);
+          Alcotest.(check string)
+            (kname ^ ": same source")
+            (Resilient.source_to_string s_s.Resilient.source)
+            (Resilient.source_to_string s_i.Resilient.source);
+          Alcotest.(check (option string))
+            (kname ^ ": same trip provenance")
+            (Option.map Cancel.reason_to_string s_s.Resilient.tripped)
+            (Option.map Cancel.reason_to_string s_i.Resilient.tripped);
+          match (s_s.Resilient.scan, s_i.Resilient.scan) with
+          | Some a, Some b ->
+            Alcotest.(check (pair int int))
+              (kname ^ ": same scan counters")
+              (a.Certain.structures, a.Certain.evaluations)
+              (b.Certain.structures, b.Certain.evaluations)
+          | None, None -> ()
+          | _ ->
+            Alcotest.failf "%s disagrees on scan-stats presence" kname)
         [ Resilient.Fail; Resilient.Partial; Resilient.Approx ])
     [ certain_query (); pruning_query () ]
 

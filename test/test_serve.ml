@@ -405,6 +405,31 @@ let test_plan_cache () =
               Alcotest.(check int) "misses counted" 3 (counter "misses");
               Alcotest.(check int) "three plans resident" 3 (counter "entries"))))
 
+(* "kernel":"interned" is a deprecated alias of "compiled" (PROTOCOL.md
+   §5): same answer, same plan-cache entry. *)
+let test_interned_alias () =
+  with_db (fun db_path ->
+      with_server (fun socket ->
+          with_client socket (fun c ->
+              check_code "load" "ok" (load c "g" db_path);
+              let q = "(x). exists y. TEACHES(x, y)" in
+              let on kernel = query ~extra:[ ("kernel", J.Str kernel) ] c "g" q in
+              let compiled = on "compiled" in
+              let alias = on "interned" in
+              check_code "compiled" "ok" compiled;
+              check_code "interned alias" "ok" alias;
+              Alcotest.(check (list (list string)))
+                "alias answers as compiled" (rows compiled) (rows alias);
+              Alcotest.(check (list (list string)))
+                "compiled answers as strings" (rows (on "strings"))
+                (rows compiled);
+              Alcotest.(check (option string))
+                "compiled compiles its plan" (Some "miss")
+                (J.str_field "cache" compiled);
+              Alcotest.(check (option string))
+                "alias hits compiled's plan" (Some "hit")
+                (J.str_field "cache" alias))))
+
 (* --- busy / backpressure ------------------------------------------- *)
 
 let test_busy_backpressure () =
@@ -662,6 +687,8 @@ let suite =
       test_mutation_cli_parity;
     Alcotest.test_case "plan cache: hit/miss/invalidate counters" `Quick
       test_plan_cache;
+    Alcotest.test_case "kernel interned is an alias of compiled" `Quick
+      test_interned_alias;
     Alcotest.test_case "full queue answers busy" `Quick test_busy_backpressure;
     Alcotest.test_case "request_retry rides out the busy window" `Quick
       test_busy_retry;
