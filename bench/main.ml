@@ -1,4 +1,4 @@
-(* The benchmark harness.
+(* The paper's experiment tables and their micro-benchmarks.
 
    Part 1 re-runs every experiment (E1-E12 and the A1-A4 ablations —
    the full Experiments.Registry.all) and prints its result table — one
@@ -13,11 +13,10 @@
    through the Vardi_obs span layer, next to the Bechamel numbers.
 
    Run with: dune exec bench/main.exe
-   (pass --tables-only or --micro-only to restrict;
-    --json FILE additionally writes the micro-benchmark estimates as
-    JSON — BENCH_<pr>.json files are reference snapshots of it;
-    --e1-sanity [--kernel compiled|strings] is the CI smoke
-    gate: one verified E1-medium run on the selected kernel) *)
+   (pass --tables-only or --micro-only to restrict; --e1-sanity and
+    --acq-sanity [--min-speedup F] are the CI smoke gates described
+    below). Every figure is printed only: the machine-readable,
+    cross-commit benchmark is perfbench/ (see perfbench/README.md). *)
 
 open Bechamel
 open Toolkit
@@ -150,18 +149,23 @@ let micro_tests () =
              db_medium q));
   ]
 
-let quota_seconds = 0.3
-
-let run_micro_tests ?(quota = quota_seconds) tests =
+let run_micro () =
+  Fmt.pr "@.=== Bechamel micro-benchmarks (OLS on the monotonic clock) ===@.";
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:true ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~stabilize:true ()
   in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  List.concat_map
+  let human ns =
+    if ns >= 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
+    else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
+    else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
+    else Printf.sprintf "%8.0f ns" ns
+  in
+  List.iter
     (fun test ->
-      List.map
+      List.iter
         (fun elt ->
           let raw = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
           let result = Analyze.one ols Instance.monotonic_clock raw in
@@ -170,436 +174,48 @@ let run_micro_tests ?(quota = quota_seconds) tests =
             | Some (e :: _) -> e
             | Some [] | None -> Float.nan
           in
-          let r2 = Analyze.OLS.r_square result in
           let r2_text =
-            match r2 with Some r -> Printf.sprintf "%.4f" r | None -> "-"
-          in
-          let human ns =
-            if ns >= 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-            else if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-            else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-            else Printf.sprintf "%8.0f ns" ns
+            match Analyze.OLS.r_square result with
+            | Some r -> Printf.sprintf "%.4f" r
+            | None -> "-"
           in
           Fmt.pr "  %-24s %s   (r2 = %s)@." (Test.Elt.name elt)
-            (human estimate) r2_text;
-          (Test.Elt.name elt, estimate, r2))
+            (human estimate) r2_text)
         (Test.elements test))
-    tests
+    (micro_tests ())
 
-let run_micro () =
-  Fmt.pr "@.=== Bechamel micro-benchmarks (OLS on the monotonic clock) ===@.";
-  run_micro_tests (micro_tests ())
+(* --- CI sanity gate (--e1-sanity) ---
 
-(* --- machine-readable results (--json FILE) ---
+   One timed run of the E1-medium workload on each kernel, the compiled
+   answer checked against the strings reference. Exits non-zero on
+   disagreement, so the CI kernel-smoke job fails loudly if the kernels
+   ever diverge. *)
 
-   Schema "vardi-bench/1", documented in EXPERIMENTS.md: one object per
-   micro-benchmark with the OLS nanoseconds-per-run estimate and its
-   r². Written by hand — the repo deliberately has no JSON
-   dependency. *)
-
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6g" f
-
-let write_json ?(quota = quota_seconds) path results =
-  let out = open_out path in
-  let benchmarks =
-    List.map
-      (fun (name, ns, r2) ->
-        Printf.sprintf
-          "    { \"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s }"
-          (json_escape name) (json_float ns)
-          (match r2 with Some r -> json_float r | None -> "null"))
-      results
-  in
-  Printf.fprintf out
-    "{\n\
-    \  \"schema\": \"vardi-bench/1\",\n\
-    \  \"quota_s\": %s,\n\
-    \  \"benchmarks\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (json_float quota)
-    (String.concat ",\n" benchmarks);
-  close_out out;
-  Fmt.pr "@.wrote %s (%d benchmarks)@." path (List.length results)
-
-(* --- CI sanity gate (--e1-sanity --kernel compiled|strings) ---
-
-   One timed run of the E1-medium workload on the selected kernel
-   (compiled by default), verified against the other kernel's answer.
-   Exits non-zero on disagreement, so the CI kernel-smoke job fails
-   loudly if the kernels ever diverge. *)
-
-let e1_sanity kernel_name =
+let e1_sanity () =
   let module Certain = Vardi_certain.Engine in
-  let kernel, other, other_name =
-    match kernel_name with
-    | "compiled" -> (Certain.Compiled, Certain.Strings, "strings")
-    | "strings" -> (Certain.Strings, Certain.Compiled, "compiled")
-    | v ->
-      Fmt.epr "unknown --kernel %S (expected compiled or strings)@." v;
-      exit 2
-  in
   let db = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
   let q = Workloads.mixed_query in
-  ignore (Certain.answer ~kernel db q) (* warm-up *);
-  let t0 = Logicaldb.Obs.now_ns () in
-  let answer = Certain.answer ~kernel db q in
-  let elapsed_ms =
-    Int64.to_float (Int64.sub (Logicaldb.Obs.now_ns ()) t0) /. 1e6
+  let timed kernel name =
+    ignore (Certain.answer ~kernel db q) (* warm-up *);
+    let t0 = Logicaldb.Obs.now_ns () in
+    let answer = Certain.answer ~kernel db q in
+    Fmt.pr "e1-sanity: kernel %-8s E1-medium %.2f ms@." name
+      (Int64.to_float (Int64.sub (Logicaldb.Obs.now_ns ()) t0) /. 1e6);
+    answer
   in
-  let reference = Certain.answer ~kernel:other db q in
-  if not (Vardi_relational.Relation.equal answer reference) then begin
-    Fmt.epr "e1-sanity: kernel %s disagrees with %s on E1-medium@."
-      kernel_name other_name;
+  let compiled = timed Certain.Compiled "compiled" in
+  let strings = timed Certain.Strings "strings" in
+  if not (Vardi_relational.Relation.equal compiled strings) then begin
+    Fmt.epr "e1-sanity: kernel compiled disagrees with strings on E1-medium@.";
     exit 1
   end;
-  Fmt.pr "e1-sanity: kernel %-8s E1-medium %.2f ms, answers agree@."
-    kernel_name elapsed_ms
+  Fmt.pr "e1-sanity: answers agree@."
 
 (* [value_of flag args] is the argument following [flag], if any. *)
 let rec value_of flag = function
   | [] | [ _ ] -> None
   | a :: value :: _ when String.equal a flag -> Some value
   | _ :: rest -> value_of flag rest
-
-(* --- the incremental-evaluation benchmark (--incr) ---
-
-   E17 (EXPERIMENTS.md, BENCH_7.json): query-after-a-small-delta on
-   the E1-medium workload, four rows.
-
-   - incr/fresh-after-delta     one fact toggled on R in a plain
-                                database, then a from-scratch
-                                [Certain.answer] — the rescan baseline.
-   - incr/session-after-delta-independent
-                                the same toggle through an
-                                [Incr_session], then a query that never
-                                reads R: every per-structure result is
-                                a memo hit. The headline row — the
-                                acceptance bar is >= 3x over the fresh
-                                baseline.
-   - incr/session-after-delta-dependent
-                                the toggle plus the mixed query that
-                                does read R: memos miss, but the cached
-                                quotient structures rebuild only the R
-                                slot.
-   - incr/session-requery       no delta, plan-cache-hot re-evaluation:
-                                the pure-memo floor.
-   - incr/mutation-only         one insert-or-retract toggle, no query:
-                                the fixed cost of a fact delta.
-   - incr/prepare-only          [Session.prepare] alone: what the serve
-                                layer pays to re-bind a plan after a
-                                delta moves the plan-cache key.
-
-   Before timing, incremental answers are checked against from-scratch
-   answers after both the insert and the retract — a silent divergence
-   would make the speedup meaningless. *)
-
-let incr_bench args =
-  let module Certain = Vardi_certain.Engine in
-  let module Session = Logicaldb.Incr_session in
-  let module Cw = Logicaldb.Cw_database in
-  let module Relation = Vardi_relational.Relation in
-  Fmt.pr "=== E17: incremental evaluation — query after a small delta ===@.";
-  let db0 = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
-  let dep_q = Workloads.mixed_query in
-  let indep_q = Logicaldb.query "(x). ~P(x)" in
-  let delta_fact =
-    let constants = Cw.constants db0 in
-    let existing = Cw.facts db0 in
-    let candidates =
-      List.concat_map
-        (fun c ->
-          List.map (fun d -> { Cw.pred = "R"; args = [ c; d ] }) constants)
-        constants
-    in
-    match List.find_opt (fun f -> not (List.mem f existing)) candidates with
-    | Some f -> f
-    | None ->
-      Fmt.epr "incr-bench: R is full on the E1-medium workload@.";
-      exit 1
-  in
-  let check_parity label q =
-    let s = Session.create db0 in
-    let agree () =
-      let fresh = Certain.answer (Session.db s) q in
-      let incr, _ = Certain.prepared_answer_stats (Session.prepare s q) in
-      Relation.equal fresh incr
-    in
-    Session.insert s delta_fact;
-    let after_insert = agree () in
-    Session.retract s delta_fact;
-    if not (after_insert && agree ()) then begin
-      Fmt.epr
-        "incr-bench: incremental answers diverge from fresh rescan (%s)@."
-        label;
-      exit 1
-    end
-  in
-  check_parity "dependent query" dep_q;
-  check_parity "independent query" indep_q;
-  (* Each timed run performs exactly one mutation (alternating insert /
-     retract of the same fact, so state is re-appliable across
-     Bechamel's many iterations) followed by one full query. *)
-  let toggled_session q =
-    let s = Session.create db0 in
-    let present = ref false in
-    ( s,
-      fun () ->
-        if !present then Session.retract s delta_fact
-        else Session.insert s delta_fact;
-        present := not !present;
-        Certain.prepared_answer_stats (Session.prepare s q) )
-  in
-  let fresh_thunk =
-    let db = ref db0 in
-    let present = ref false in
-    fun () ->
-      (db :=
-         if !present then Cw.remove_fact !db delta_fact
-         else Cw.add_fact !db delta_fact);
-      present := not !present;
-      Certain.answer !db indep_q
-  in
-  let indep_session, indep_thunk = toggled_session indep_q in
-  let _, dep_thunk = toggled_session dep_q in
-  let requery_thunk =
-    let s = Session.create db0 in
-    let prepared = Session.prepare s dep_q in
-    fun () -> Certain.prepared_answer_stats prepared
-  in
-  let results =
-    run_micro_tests
-      [
-        Test.make ~name:"incr/fresh-after-delta" (stage fresh_thunk);
-        Test.make ~name:"incr/session-after-delta-independent"
-          (stage indep_thunk);
-        Test.make ~name:"incr/session-after-delta-dependent"
-          (stage dep_thunk);
-        Test.make ~name:"incr/session-requery" (stage requery_thunk);
-        (let s = Session.create db0 in
-         let present = ref false in
-         Test.make ~name:"incr/mutation-only"
-           (stage (fun () ->
-                if !present then Session.retract s delta_fact
-                else Session.insert s delta_fact;
-                present := not !present)));
-        (let s = Session.create db0 in
-         Test.make ~name:"incr/prepare-only"
-           (stage (fun () -> Session.prepare s indep_q)));
-      ]
-  in
-  let ns name =
-    List.find_map
-      (fun (n, e, _) -> if String.equal n name then Some e else None)
-      results
-  in
-  (match (ns "incr/fresh-after-delta", ns "incr/session-after-delta-independent")
-  with
-  | Some fresh, Some incr when incr > 0. ->
-    Fmt.pr "@.  speedup (fresh rescan / incremental, independent delta): \
-            %.1fx@."
-      (fresh /. incr)
-  | _ -> ());
-  Fmt.pr "  %a@." Session.pp_stats (Session.stats indep_session);
-  Option.iter
-    (fun path -> write_json path results)
-    (value_of "--json" args)
-
-(* --- the durability benchmark (--durable) ---
-
-   E19 (EXPERIMENTS.md, BENCH_9.json): what the write-ahead log costs,
-   and what recovery costs, on the E17 delta-then-query workload.
-
-   - durable/delta-query-none     the baseline: one fact toggle through
-                                  a bare [Incr_session] plus one
-                                  dependent-query evaluation — E17's
-                                  session-after-delta-dependent shape.
-   - durable/delta-query-{never,batch,always}
-                                  the same toggle+query through a
-                                  [Durable_store]: probe, WAL append
-                                  (with the named fsync policy), apply,
-                                  query. The acceptance bar is batch
-                                  overhead <= 15% over the baseline.
-   - durable/recover-{100,1000,5000}
-                                  full recovery (snapshot load + log
-                                  scan + replay) of a directory whose
-                                  WAL holds that many records — how
-                                  startup cost scales with log length.
-
-   Before timing, a commit/kill/recover round-trip is checked for
-   equality (database and delta epoch) — a benchmark of a recovery
-   that loses data would be meaningless. *)
-
-let durable_bench args =
-  let module Certain = Vardi_certain.Engine in
-  let module Session = Logicaldb.Incr_session in
-  let module Cw = Logicaldb.Cw_database in
-  let module Store = Logicaldb.Durable_store in
-  let module Wal = Logicaldb.Wal in
-  let module Recovery = Logicaldb.Recovery in
-  Fmt.pr "=== E19: durability — WAL overhead and recovery time ===@.";
-  let db0 = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
-  let dep_q = Workloads.mixed_query in
-  let delta_fact =
-    let constants = Cw.constants db0 in
-    let existing = Cw.facts db0 in
-    let candidates =
-      List.concat_map
-        (fun c ->
-          List.map (fun d -> { Cw.pred = "R"; args = [ c; d ] }) constants)
-        constants
-    in
-    match List.find_opt (fun f -> not (List.mem f existing)) candidates with
-    | Some f -> f
-    | None ->
-      Fmt.epr "durable-bench: R is full on the E1-medium workload@.";
-      exit 1
-  in
-  let root = Filename.temp_file "durable_bench" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
-  (* Correctness gate: a committed prefix must survive an abandoned
-     descriptor (the simulated kill -9) bit-for-bit. *)
-  (let dir = Filename.concat root "gate" in
-   let store = Store.create ~dir ~sync:Wal.Always ~snapshot_every:0 db0 in
-   ignore (Store.commit store (Session.Insert delta_fact));
-   ignore (Store.commit store (Session.Retract delta_fact));
-   ignore (Store.commit store (Session.Insert delta_fact));
-   let wanted = Session.db (Store.session store) in
-   let delta = Session.delta_epoch (Store.session store) in
-   Store.abandon store;
-   let report = Recovery.verify dir in
-   if
-     not
-       (Cw.equal (Session.db report.Recovery.r_session) wanted
-       && Session.delta_epoch report.Recovery.r_session = delta)
-   then begin
-     Fmt.epr "durable-bench: recovery diverges from the committed state@.";
-     exit 1
-   end);
-  let toggle apply =
-    let present = ref false in
-    fun () ->
-      (if !present then apply (Session.Retract delta_fact)
-       else apply (Session.Insert delta_fact));
-      present := not !present
-  in
-  let session_thunk =
-    let s = Session.create db0 in
-    let step = toggle (fun m -> ignore (Session.apply s m)) in
-    fun () ->
-      step ();
-      Certain.prepared_answer_stats (Session.prepare s dep_q)
-  in
-  let store_thunk name sync =
-    let dir = Filename.concat root name in
-    let store = Store.create ~dir ~sync ~snapshot_every:0 db0 in
-    let s = Store.session store in
-    let step = toggle (fun m -> ignore (Store.commit store m)) in
-    fun () ->
-      step ();
-      Certain.prepared_answer_stats (Session.prepare s dep_q)
-  in
-  let recovery_dir n =
-    let dir = Filename.concat root (Printf.sprintf "recover%d" n) in
-    let store = Store.create ~dir ~sync:Wal.Never ~snapshot_every:0 db0 in
-    let step = toggle (fun m -> ignore (Store.commit store m)) in
-    for _ = 1 to n do
-      step ()
-    done;
-    Store.abandon store;
-    dir
-  in
-  let results =
-    run_micro_tests
-      [
-        Test.make ~name:"durable/delta-query-none" (stage session_thunk);
-        Test.make ~name:"durable/delta-query-never"
-          (stage (store_thunk "never" Wal.Never));
-        Test.make ~name:"durable/delta-query-batch"
-          (stage (store_thunk "batch" Wal.Batch));
-        Test.make ~name:"durable/delta-query-always"
-          (stage (store_thunk "always" Wal.Always));
-        (let d = recovery_dir 100 in
-         Test.make ~name:"durable/recover-100"
-           (stage (fun () -> Recovery.verify d)));
-        (let d = recovery_dir 1000 in
-         Test.make ~name:"durable/recover-1000"
-           (stage (fun () -> Recovery.verify d)));
-        (let d = recovery_dir 5000 in
-         Test.make ~name:"durable/recover-5000"
-           (stage (fun () -> Recovery.verify d)));
-      ]
-  in
-  let ns name =
-    List.find_map
-      (fun (n, e, _) -> if String.equal n name then Some e else None)
-      results
-  in
-  (match (ns "durable/delta-query-none", ns "durable/delta-query-batch") with
-  | Some base, Some batch when base > 0. ->
-    Fmt.pr "@.  WAL overhead (--sync=batch over in-memory): %+.1f%%@."
-      ((batch -. base) /. base *. 100.)
-  | _ -> ());
-  (match (ns "durable/delta-query-none", ns "durable/delta-query-always") with
-  | Some base, Some always when base > 0. ->
-    Fmt.pr "  WAL overhead (--sync=always over in-memory): %+.1f%%@."
-      ((always -. base) /. base *. 100.)
-  | _ -> ());
-  Option.iter (fun path -> write_json path results) (value_of "--json" args)
-
-(* --- the acyclic-query benchmark (--acq / --acq-sanity) ---
-
-   E20 (EXPERIMENTS.md, BENCH_10.json): what the acyclic-query fast
-   path buys. A growing-domain sweep over a 3-atom path CQ compares
-   three evaluation strategies on the same database:
-
-   - acq/path-nNNN-naive       the unoptimized compiled plan: every
-                               atom padded to the full variable width
-                               with domain products (intermediates grow
-                               like n^3 here);
-   - acq/path-nNNN-optimized   the same plan through the optimizer's
-                               join-fusion rewrites (Join/Semijoin
-                               operators, no padding);
-   - acq/path-nNNN-fast        the Yannakakis evaluator: join tree,
-                               two semijoin passes, bottom-up joins
-                               with early projection.
-
-   Larger sizes run only the two join-based strategies (the naive plan
-   would materialize tens of millions of tuples). A star CQ row shows
-   the effect is not path-specific, a triangle row pins the cyclic
-   fallback, and an approx-pipeline pair times A(Q,LB) end-to-end with
-   the Direct backend vs the optimized backend's fast-path dispatch.
-
-   Every timed plan is first checked for answer equality against the
-   Tarskian evaluator (small sizes) or across strategies (large
-   sizes) — a benchmark of a wrong answer would be meaningless.
-
-   This mode also re-measures durable/delta-query-always and
-   durable/recover-100 (their BENCH_9.json rows had low OLS
-   confidence) at this mode's longer quota; the BENCH_10.json rows
-   supersede them. *)
-
-let acq_quota = 1.0
 
 module Acq = struct
   module L = Logicaldb
@@ -636,7 +252,7 @@ module Acq = struct
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
-        Fmt.epr "acq-bench: %s@." msg;
+        Fmt.epr "acq-sanity: %s@." msg;
         exit 1)
       fmt
 
@@ -680,8 +296,9 @@ module Acq = struct
       [ 8; 16 ];
     Fmt.pr "  correctness gates passed (n = 8, 16; path, star, triangle)@."
 
-  (* One size's strategy plans, parity-checked against each other so
-     the large sizes stay verified without the Tarskian evaluator. *)
+  (* One size's strategy plans, the fast answer checked against the
+     optimized plan's: past the gate sizes the Tarskian evaluator is
+     too slow to serve as the reference. *)
   let plans n q qname =
     let db = db n in
     let naive = L.Compile.query db q in
@@ -694,175 +311,14 @@ module Acq = struct
     let fast_answer = L.Yannakakis.run db yplan in
     if not (L.Relation.equal fast_answer (L.Algebra.run db optimized)) then
       fail "fast and optimized answers diverge on %s at n=%d" qname n;
-    (db, naive, optimized, yplan)
+    (db, naive, yplan)
 end
 
-let acq_durable_retest_tests root =
-  (* E19 follow-up: the BENCH_9.json rows for these two benchmarks had
-     low OLS confidence (r² 0.19 and 0.71) at the default 0.3 s quota;
-     re-measured here at [acq_quota] so BENCH_10.json supersedes
-     them. Setup mirrors [durable_bench]. *)
-  let module Certain = Vardi_certain.Engine in
-  let module Session = Logicaldb.Incr_session in
-  let module Cw = Logicaldb.Cw_database in
-  let module Store = Logicaldb.Durable_store in
-  let module Wal = Logicaldb.Wal in
-  let module Recovery = Logicaldb.Recovery in
-  let db0 = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
-  let dep_q = Workloads.mixed_query in
-  let delta_fact =
-    let constants = Cw.constants db0 in
-    let existing = Cw.facts db0 in
-    let candidates =
-      List.concat_map
-        (fun c ->
-          List.map (fun d -> { Cw.pred = "R"; args = [ c; d ] }) constants)
-        constants
-    in
-    match List.find_opt (fun f -> not (List.mem f existing)) candidates with
-    | Some f -> f
-    | None ->
-      Fmt.epr "acq-bench: R is full on the E1-medium workload@.";
-      exit 1
-  in
-  let toggle apply =
-    let present = ref false in
-    fun () ->
-      (if !present then apply (Session.Retract delta_fact)
-       else apply (Session.Insert delta_fact));
-      present := not !present
-  in
-  let always_thunk =
-    let dir = Filename.concat root "always" in
-    let store = Store.create ~dir ~sync:Wal.Always ~snapshot_every:0 db0 in
-    let s = Store.session store in
-    let step = toggle (fun m -> ignore (Store.commit store m)) in
-    fun () ->
-      step ();
-      Certain.prepared_answer_stats (Session.prepare s dep_q)
-  in
-  let recover_dir =
-    let dir = Filename.concat root "recover100" in
-    let store = Store.create ~dir ~sync:Wal.Never ~snapshot_every:0 db0 in
-    let step = toggle (fun m -> ignore (Store.commit store m)) in
-    for _ = 1 to 100 do
-      step ()
-    done;
-    Store.abandon store;
-    dir
-  in
-  [
-    Test.make ~name:"durable/delta-query-always" (stage always_thunk);
-    Test.make ~name:"durable/recover-100"
-      (stage (fun () -> Recovery.verify recover_dir));
-  ]
-
-let acq_bench args =
-  let module L = Logicaldb in
-  Fmt.pr "=== E20: acyclic-query fast path — Yannakakis vs naive ===@.";
-  Acq.gate ();
-  let sweep_sizes = [ 16; 32; 64 ] in
-  let fast_only_sizes = [ 128; 256 ] in
-  let name n strategy = Printf.sprintf "acq/path-n%03d-%s" n strategy in
-  let sweep_tests =
-    List.concat_map
-      (fun n ->
-        let db, naive, optimized, yplan = Acq.plans n Acq.path_q "path" in
-        [
-          Test.make ~name:(name n "naive")
-            (stage (fun () -> L.Algebra.run db naive));
-          Test.make ~name:(name n "optimized")
-            (stage (fun () -> L.Algebra.run db optimized));
-          Test.make ~name:(name n "fast")
-            (stage (fun () -> L.Yannakakis.run db yplan));
-        ])
-      sweep_sizes
-    @ List.concat_map
-        (fun n ->
-          let db, _, optimized, yplan = Acq.plans n Acq.path_q "path" in
-          [
-            Test.make ~name:(name n "optimized")
-              (stage (fun () -> L.Algebra.run db optimized));
-            Test.make ~name:(name n "fast")
-              (stage (fun () -> L.Yannakakis.run db yplan));
-          ])
-        fast_only_sizes
-  in
-  let star_tests =
-    let db, naive, optimized, yplan = Acq.plans 32 Acq.star_q "star" in
-    [
-      Test.make ~name:"acq/star-n032-naive"
-        (stage (fun () -> L.Algebra.run db naive));
-      Test.make ~name:"acq/star-n032-optimized"
-        (stage (fun () -> L.Algebra.run db optimized));
-      Test.make ~name:"acq/star-n032-fast"
-        (stage (fun () -> L.Yannakakis.run db yplan));
-    ]
-  in
-  let triangle_tests =
-    let db = Acq.db 32 in
-    (match L.Yannakakis.plan db Acq.triangle_q with
-    | Some _ -> Acq.fail "triangle accepted as acyclic at n=32"
-    | None -> ());
-    let optimized = L.Optimizer.optimize db (L.Compile.query db Acq.triangle_q) in
-    [
-      Test.make ~name:"acq/triangle-n032-fallback"
-        (stage (fun () -> L.Algebra.run db optimized));
-    ]
-  in
-  let approx_tests =
-    (* End-to-end A(Q,LB) on the E1-medium workload: the optimized
-       backend dispatches this acyclic CQ to the fast path; Direct is
-       the Tarskian pipeline. *)
-    let adb = Workloads.parametric_db ~constants:16 ~unknowns:2 ~seed:7 in
-    let aq = L.Parser.query "(x, z). exists y. R(x, y) /\\ R(y, z)" in
-    let hat = L.Translate.query L.Translate.Semantic aq in
-    let ph2 = L.Ph.ph2 adb in
-    (match
-       L.Yannakakis.answer ~virtuals:(L.Disagree.virtuals adb) ph2 hat
-     with
-    | None -> Acq.fail "approx E2E query not dispatched to the fast path"
-    | Some _ -> ());
-    let direct = L.Approx.answer ~backend:L.Approx.Direct adb aq in
-    let optimized =
-      L.Approx.answer ~backend:L.Approx.Algebra_optimized adb aq
-    in
-    if not (L.Relation.equal direct optimized) then
-      Acq.fail "approx backends disagree on the E2E query";
-    [
-      Test.make ~name:"acq/approx-e2e-direct"
-        (stage (fun () -> L.Approx.answer ~backend:L.Approx.Direct adb aq));
-      Test.make ~name:"acq/approx-e2e-optimized"
-        (stage (fun () ->
-             L.Approx.answer ~backend:L.Approx.Algebra_optimized adb aq));
-    ]
-  in
-  let root = Filename.temp_file "acq_bench" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
-  let results =
-    run_micro_tests ~quota:acq_quota
-      (sweep_tests @ star_tests @ triangle_tests @ approx_tests
-      @ acq_durable_retest_tests root)
-  in
-  let ns n =
-    List.find_map
-      (fun (nm, e, _) -> if String.equal nm n then Some e else None)
-      results
-  in
-  (match (ns (name 64 "naive"), ns (name 64 "fast")) with
-  | Some naive, Some fast when fast > 0. ->
-    Fmt.pr "@.  speedup at n=64 (fast over naive): %.1fx@." (naive /. fast)
-  | _ -> ());
-  Option.iter
-    (fun path -> write_json ~quota:acq_quota path results)
-    (value_of "--json" args)
-
 (* CI gate (--acq-sanity [--min-speedup F]): the correctness gates plus
-   one wall-clock comparison at the largest common sweep size — the
-   fast path must beat the naive padded plan by the required factor
-   (default 5x; BENCH_10.json records ~the real separation, this floor
-   just keeps CI robust to noisy runners). *)
+   one wall-clock comparison at n = 64 — the fast path must beat the
+   naive padded plan by the required factor (default 5x; the real
+   separation is far larger, this floor just keeps CI robust to noisy
+   runners). *)
 let acq_sanity args =
   let module L = Logicaldb in
   Fmt.pr "=== acq sanity: correctness gates + speedup floor ===@.";
@@ -873,12 +329,12 @@ let acq_sanity args =
     | None -> 5.0
   in
   let n = 64 in
-  let db, naive, _optimized, yplan = Acq.plans n Acq.path_q "path" in
+  let db, naive, yplan = Acq.plans n Acq.path_q "path" in
   let fast_answer = L.Yannakakis.run db yplan in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Logicaldb.Obs.now_ns () in
     let r = f () in
-    (Unix.gettimeofday () -. t0, r)
+    (Int64.to_float (Int64.sub (Logicaldb.Obs.now_ns ()) t0) /. 1e9, r)
   in
   let t_naive, naive_answer = time (fun () -> L.Algebra.run db naive) in
   if not (L.Relation.equal naive_answer fast_answer) then begin
@@ -917,364 +373,29 @@ let phase_breakdown () =
   Obs.pp_spans Fmt.stdout evs;
   Obs.pp_counters Fmt.stdout evs
 
-(* --- Part 4: the serve load generator (--serve) ---
-
-   Drives [ldb serve] with N concurrent clients and records per-request
-   latency, so "the daemon handles heavy traffic" is a measured claim
-   (EXPERIMENTS.md E16, BENCH_6.json). Two modes: with --socket PATH it
-   drives an already-running external server (the CI smoke job); with
-   no --socket it hosts the server in-process on a private socket and
-   tears it down afterwards. --mixed salts the load with one malformed
-   line and one budget-exhausted request per run, asserting the
-   protocol's error codes under concurrency; any unexpected code fails
-   the run. *)
-
-let serve_bench args =
-  let module Serve = Logicaldb.Serve in
-  let module Client = Logicaldb.Serve_client in
-  let module Json = Logicaldb.Serve_json in
-  let module Obs = Logicaldb.Obs in
-  let int_arg flag default =
-    match value_of flag args with
-    | None -> default
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n > 0 -> n
-      | _ ->
-        Fmt.epr "%s expects a positive integer, got %S@." flag v;
-        exit 2)
-  in
-  let clients = int_arg "--clients" 8 in
-  let per_client = int_arg "--requests" 25 in
-  let workers = int_arg "--workers" 2 in
-  let queue_capacity = int_arg "--queue" 64 in
-  (* --retries N: connect with backoff while the server is coming up,
-     and resend on the busy backpressure code (capped exponential
-     backoff + jitter, Client's policy) — 0 = fail fast, the default. *)
-  let retries =
-    match value_of "--retries" args with
-    | None -> 0
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> n
-      | _ ->
-        Fmt.epr "--retries expects a non-negative integer, got %S@." v;
-        exit 2)
-  in
-  let mixed = List.mem "--mixed" args in
-  let json_path = value_of "--json" args in
-  let external_socket = value_of "--socket" args in
-  let shutdown_after = external_socket = None || List.mem "--shutdown" args in
-  (* The workload database: medium-sized, so each request does real
-     scan work but a single run stays in seconds. *)
-  let db = Workloads.parametric_db ~constants:12 ~unknowns:2 ~seed:7 in
-  let db_path = Filename.temp_file "serve_bench" ".ldb" in
-  let oc = open_out db_path in
-  output_string oc (Logicaldb.Ldb_format.print db);
-  close_out oc;
-  let query_mix =
-    [|
-      `Query "(x). (exists y. R(x, y)) /\\ ~P(x)";
-      `Query "(x). exists y. R(x, y) /\\ P(y)";
-      `Query "(x). ~P(x)";
-      `Boolean "(). exists x. ~P(x) /\\ (exists y. R(x, y))";
-    |]
-  in
-  let socket_path, server_thread =
-    match external_socket with
-    | Some path -> (path, None)
-    | None ->
-      (* The server refuses to replace an existing non-socket file, so
-         the path must not exist yet: a fresh directory holds it. *)
-      let path =
-        Filename.concat (Filename.temp_dir "serve_bench" "") "serve.sock"
-      in
-      let thread =
-        Thread.create
-          (fun () ->
-            Serve.run
-              {
-                Serve.socket_path = path;
-                workers;
-                queue_capacity;
-                debug_sleep = false;
-                preload = [];
-                durability = None;
-              })
-          ()
-      in
-      (path, Some thread)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove db_path with Sys_error _ -> ());
-      (* The daemon removes its socket on shutdown; then the directory
-         made for it is empty. *)
-      if external_socket = None then
-        try Sys.rmdir (Filename.dirname socket_path) with Sys_error _ -> ())
-    (fun () ->
-      let setup = Client.connect_retry socket_path in
-      let load_resp =
-        Client.request setup
-          (Json.Obj
-             [
-               ("op", Json.Str "load");
-               ("db", Json.Str "bench");
-               ("path", Json.Str db_path);
-             ])
-      in
-      (match Json.str_field "code" load_resp with
-      | Some "ok" -> ()
-      | _ ->
-        Fmt.epr "serve-bench: load failed: %s@." (Json.to_string load_resp);
-        exit 1);
-      (* One warm-up pass per query shape, so the measured section sees
-         the plan cache hot — the steady state a resident server is
-         for. The cold misses are still visible in the cache counters
-         below. *)
-      Array.iter
-        (fun shape ->
-          let op, text =
-            match shape with
-            | `Query t -> ("query", t)
-            | `Boolean t -> ("boolean", t)
-          in
-          ignore
-            (Client.request setup
-               (Json.Obj
-                  [
-                    ("op", Json.Str op);
-                    ("db", Json.Str "bench");
-                    ("query", Json.Str text);
-                  ])))
-        query_mix;
-      let unexpected = Atomic.make 0 in
-      let latencies = Array.make clients [||] in
-      let client_thread idx () =
-        let c =
-          if retries > 0 then Client.connect ~retries socket_path
-          else Client.connect_retry socket_path
-        in
-        Fun.protect
-          ~finally:(fun () -> Client.close c)
-          (fun () ->
-            let lat = Array.make per_client 0. in
-            for i = 0 to per_client - 1 do
-              let expect_code, send =
-                if mixed && idx = 0 && i = 0 then
-                  ("parse_error", fun () -> Client.request_line c "not json")
-                else if mixed && idx = 0 && i = 1 then
-                  ( "exhausted",
-                    fun () ->
-                      Client.request c
-                        (Json.Obj
-                           [
-                             ("op", Json.Str "query");
-                             ("db", Json.Str "bench");
-                             ( "query",
-                               Json.Str "(x). (exists y. R(x, y)) /\\ ~P(x)"
-                             );
-                             ("max_structures", Json.Num 1.);
-                           ]) )
-                else
-                  let op, text =
-                    match query_mix.((idx + i) mod Array.length query_mix) with
-                    | `Query t -> ("query", t)
-                    | `Boolean t -> ("boolean", t)
-                  in
-                  ( "ok",
-                    fun () ->
-                      Client.request_retry ~retries c
-                        (Json.Obj
-                           [
-                             ("op", Json.Str op);
-                             ("db", Json.Str "bench");
-                             ("query", Json.Str text);
-                           ]) )
-              in
-              let t0 = Obs.now_ns () in
-              let resp = send () in
-              lat.(i) <- Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e6;
-              match Json.str_field "code" resp with
-              | Some code when code = expect_code -> ()
-              | _ ->
-                Atomic.incr unexpected;
-                Fmt.epr "serve-bench: client %d expected %s, got %s@." idx
-                  expect_code (Json.to_string resp)
-            done;
-            latencies.(idx) <- lat)
-      in
-      let threads = List.init clients (fun i -> Thread.create (client_thread i) ()) in
-      List.iter Thread.join threads;
-      let stats_resp =
-        Client.request setup (Json.Obj [ ("op", Json.Str "stats") ])
-      in
-      if shutdown_after then
-        ignore (Client.request setup (Json.Obj [ ("op", Json.Str "shutdown") ]));
-      Client.close setup;
-      Option.iter Thread.join server_thread;
-      let all = Array.concat (Array.to_list latencies) in
-      Array.sort compare all;
-      let n = Array.length all in
-      let percentile q =
-        if n = 0 then Float.nan
-        else all.(min (n - 1) (int_of_float (Float.round (q *. float_of_int (n - 1)))))
-      in
-      let mean =
-        if n = 0 then Float.nan
-        else Array.fold_left ( +. ) 0. all /. float_of_int n
-      in
-      let p50 = percentile 0.50
-      and p90 = percentile 0.90
-      and p99 = percentile 0.99
-      and p_max = if n = 0 then Float.nan else all.(n - 1) in
-      Fmt.pr
-        "serve-bench: %d clients x %d requests (workers=%d queue=%d%s)@."
-        clients per_client workers queue_capacity
-        (if mixed then ", mixed load" else "");
-      Fmt.pr
-        "  latency ms: p50 %.3f  p90 %.3f  p99 %.3f  max %.3f  mean %.3f@."
-        p50 p90 p99 p_max mean;
-      let cache_field name =
-        Option.bind (Json.member "plan_cache" stats_resp) (Json.num_field name)
-      in
-      (match (cache_field "hits", cache_field "misses") with
-      | Some h, Some m -> Fmt.pr "  plan cache: %.0f hits, %.0f misses@." h m
-      | _ -> ());
-      Option.iter
-        (fun path ->
-          let out = open_out path in
-          Printf.fprintf out
-            "{\n\
-            \  \"schema\": \"vardi-serve-bench/1\",\n\
-            \  \"clients\": %d,\n\
-            \  \"requests_per_client\": %d,\n\
-            \  \"workers\": %d,\n\
-            \  \"queue_capacity\": %d,\n\
-            \  \"mixed\": %b,\n\
-            \  \"total_requests\": %d,\n\
-            \  \"latency_ms\": { \"p50\": %s, \"p90\": %s, \"p99\": %s, \
-             \"max\": %s, \"mean\": %s },\n\
-            \  \"server_stats\": %s\n\
-             }\n"
-            clients per_client workers queue_capacity mixed n (json_float p50)
-            (json_float p90) (json_float p99) (json_float p_max)
-            (json_float mean)
-            (Json.to_string stats_resp);
-          close_out out;
-          Fmt.pr "wrote %s@." path)
-        json_path;
-      if Atomic.get unexpected > 0 then begin
-        Fmt.epr "serve-bench: %d unexpected response codes@."
-          (Atomic.get unexpected);
-        exit 1
-      end;
-      Fmt.pr "serve-bench: all %d responses carried their expected codes@." n)
-
-(* --- Part 5: the serve mutation smoke (--serve-mutate) ---
-
-   Drives a running [ldb serve] daemon through the mutation wire ops
-   (insert / retract / close_unknown) against a database file, checks
-   every response code, and prints the final certain answer of the
-   probe query as sorted CSV rows on stdout — the same shape [ldb
-   query] prints — so the CI incr-smoke job can diff it against the
-   one-shot pipeline (ldb mutate --output F && ldb query F). The
-   script is written for data/socrates.ldb: it inserts
-   TEACHES(mystery, socrates), round-trips an insert/retract pair
-   (which must leave no trace), closes (socrates, mystery) to
-   distinct, and throws two malformed mutations at the wire to pin
-   their error codes. Any unexpected code exits 1. *)
-
-let serve_mutate_bench args =
-  let module Client = Logicaldb.Serve_client in
-  let module Json = Logicaldb.Serve_json in
-  let required flag =
-    match value_of flag args with
-    | Some v -> v
-    | None ->
-      Fmt.epr "--serve-mutate requires %s@." flag;
-      exit 2
-  in
-  let db_path = required "--db" in
-  let socket = required "--socket" in
-  let shutdown_after = List.mem "--shutdown" args in
-  let c = Client.connect_retry socket in
-  let str k v = (k, Json.Str v) in
-  let expect code label fields =
-    let resp = Client.request c (Json.Obj fields) in
-    (match Json.str_field "code" resp with
-    | Some got when got = code -> ()
-    | _ ->
-      Fmt.epr "serve-mutate: %s expected code %s, got %s@." label code
-        (Json.to_string resp);
-      exit 1);
-    resp
-  in
-  let op name rest = ("op", Json.Str name) :: rest in
-  let on_db rest = str "db" "incr" :: rest in
-  let probe = "(x, y). TEACHES(x, y)" in
-  ignore (expect "ok" "load" (op "load" (on_db [ str "path" db_path ])));
-  ignore (expect "ok" "probe" (op "query" (on_db [ str "query" probe ])));
-  ignore
-    (expect "ok" "insert"
-       (op "insert" (on_db [ str "fact" "TEACHES(mystery, socrates)" ])));
-  ignore
-    (expect "ok" "insert (round-trip)"
-       (op "insert" (on_db [ str "fact" "TEACHES(plato, mystery)" ])));
-  ignore
-    (expect "ok" "retract (round-trip)"
-       (op "retract" (on_db [ str "fact" "TEACHES(plato, mystery)" ])));
-  ignore
-    (expect "ok" "close_unknown"
-       (op "close_unknown"
-          (on_db
-             [ str "left" "socrates"; str "right" "mystery"; str "to" "distinct" ])));
-  ignore
-    (expect "parse_error" "malformed fact"
-       (op "insert" (on_db [ str "fact" "((" ])));
-  ignore
-    (expect "semantic_error" "absent retract"
-       (op "retract" (on_db [ str "fact" "TEACHES(plato, plato)" ])));
-  let final = expect "ok" "final query" (op "query" (on_db [ str "query" probe ])) in
-  let rows =
-    match Json.member "rows" final with
-    | Some (Json.List rs) ->
-      List.filter_map
-        (function
-          | Json.List cells -> Some (List.filter_map Json.to_str cells)
-          | _ -> None)
-        rs
-      |> List.sort compare
-    | _ ->
-      Fmt.epr "serve-mutate: final response without rows: %s@."
-        (Json.to_string final);
-      exit 1
-  in
-  if shutdown_after then
-    ignore (Client.request c (Json.Obj [ ("op", Json.Str "shutdown") ]));
-  Client.close c;
-  List.iter (fun row -> Fmt.pr "%s@." (String.concat ", " row)) rows;
-  Fmt.epr "serve-mutate: script complete, %d final rows@." (List.length rows)
+let rec check_args = function
+  | [] -> ()
+  | ("--tables-only" | "--micro-only" | "--e1-sanity" | "--acq-sanity")
+    :: rest ->
+    check_args rest
+  | "--min-speedup" :: v :: rest when Float.of_string_opt v <> None ->
+    check_args rest
+  | _ ->
+    Fmt.epr
+      "usage: main.exe [--tables-only | --micro-only | --e1-sanity | \
+       --acq-sanity [--min-speedup F]]@.";
+    exit 2
 
 let () =
-  let args = Array.to_list Sys.argv in
-  if List.mem "--serve-mutate" args then serve_mutate_bench args
-  else if List.mem "--serve" args then serve_bench args
-  else if List.mem "--incr" args then incr_bench args
-  else if List.mem "--durable" args then durable_bench args
-  else if List.mem "--acq-sanity" args then acq_sanity args
-  else if List.mem "--acq" args then acq_bench args
-  else if List.mem "--e1-sanity" args then
-    e1_sanity (Option.value ~default:"compiled" (value_of "--kernel" args))
+  let args = List.tl (Array.to_list Sys.argv) in
+  check_args args;
+  if List.mem "--acq-sanity" args then acq_sanity args
+  else if List.mem "--e1-sanity" args then e1_sanity ()
   else begin
     let tables_only = List.mem "--tables-only" args in
     let micro_only = List.mem "--micro-only" args in
-    let json = value_of "--json" args in
     if not micro_only then print_tables ();
-    if not tables_only then begin
-      let results = run_micro () in
-      Option.iter (fun path -> write_json path results) json
-    end;
+    if not tables_only then run_micro ();
     if (not tables_only) && not micro_only then phase_breakdown ();
     Fmt.pr "@.done.@."
   end

@@ -298,68 +298,6 @@ let search ~started ~domains ~cancel ~target thunks check =
       interrupted = interruption cancel ~decided:found;
     } )
 
-(* --- per-tuple entry points ----------------------------------------- *)
-
-(* Quantify the membership check over the structure stream of the
-   selected kernel. Both kernels enumerate structures in the same order
-   — [Compiled] walks the interned stream — so stats (and capped
-   verdicts) agree. [search] is instantiated at a different structure
-   type per kernel, so the dispatch happens here rather than via a
-   first-class quantifier argument (which would force one monomorphic
-   type). *)
-let decide_member ~target ~algorithm ~order ~domains ~cancel ~kernel lb q
-    tuple =
-  let started = now_ns () in
-  match kernel with
-  | Strings ->
-    search ~started ~domains ~cancel ~target
-      (structure_thunks algorithm order lb)
-      (fun s -> Eval.member s.image q (List.map s.rename tuple))
-  | Compiled ->
-    let plan = Iscan.prepare lb in
-    let tab = Iscan.symtab plan in
-    let codes = Symtab.code_tuple tab tuple in
-    let cm = Icode.compile_member tab q in
-    search ~started ~domains ~cancel ~target
-      (interned_thunks algorithm order plan)
-      (fun (s : Iscan.structure) ->
-        Icode.run_member s.idb cm (rename_row s.rename codes))
-
-let certain_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q
-    tuple =
-  validate lb q;
-  validate_tuple lb q tuple;
-  if Query.is_boolean q then
-    invalid_arg "Certain.certain_member: Boolean query; use certain_boolean";
-  Obs.span "certain.member" (fun () ->
-      let refuted, stats =
-        decide_member ~target:false ~algorithm ~order ~domains ~cancel ~kernel
-          lb q tuple
-      in
-      (not refuted, stats))
-
-let certain_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
-  fst
-    (certain_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
-       tuple)
-
-let possible_member_stats ?(algorithm = Kernel_partitions)
-    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q
-    tuple =
-  validate lb q;
-  validate_tuple lb q tuple;
-  if Query.is_boolean q then
-    invalid_arg "Certain.possible_member: Boolean query; use possible_boolean";
-  Obs.span "certain.possible_member" (fun () ->
-      decide_member ~target:true ~algorithm ~order ~domains ~cancel ~kernel lb
-        q tuple)
-
-let possible_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
-  fst
-    (possible_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
-       tuple)
-
 (* --- per-query preparation ------------------------------------------ *)
 
 (* Per-query work hoisted out of the per-structure loop: one NNF pass,
@@ -800,3 +738,49 @@ let prepared_possible_boolean_stats ?(algorithm = Kernel_partitions)
   boolean_stats ~target:true ~span:"certain.possible_boolean"
     ~name:"prepared_possible_boolean" ~algorithm ~order ~domains ~cancel
     p.p_query (fun () -> p)
+
+(* --- per-tuple entry points ----------------------------------------- *)
+
+(* [c ∈ Q(LB)] is the Boolean question whether the sentence [φ(c)] is
+   certain (or possible): on every structure, [h(c) ∈ Q(h(Ph₁))] iff
+   the image satisfies [φ(c)], each constant of [c] denoting its image
+   under [h]. So a member check is the instantiated sentence, prepared
+   and decided by the Boolean runner inside the entry point's span. *)
+let member_stats ~target ~span ~name ~algorithm ~order ~domains ~cancel
+    ~kernel lb q tuple =
+  validate lb q;
+  validate_tuple lb q tuple;
+  if Query.is_boolean q then
+    invalid_arg
+      (Printf.sprintf "Certain.%s: Boolean query; use %s" name
+         (if target then "possible_boolean" else "certain_boolean"));
+  let sentence = Query.boolean (Query.instantiate q tuple) in
+  timed ~span
+    (run_boolean ~target ~algorithm ~order ~domains ~cancel)
+    (fun () -> prepare_unchecked ~kernel ~relational:false lb sentence)
+
+let certain_member_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q
+    tuple =
+  let refuted, stats =
+    member_stats ~target:false ~span:"certain.member" ~name:"certain_member"
+      ~algorithm ~order ~domains ~cancel ~kernel lb q tuple
+  in
+  (not refuted, stats)
+
+let certain_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
+  fst
+    (certain_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
+       tuple)
+
+let possible_member_stats ?(algorithm = Kernel_partitions)
+    ?(order = Fresh_first) ?(domains = 1) ?cancel ?(kernel = Compiled) lb q
+    tuple =
+  member_stats ~target:true ~span:"certain.possible_member"
+    ~name:"possible_member" ~algorithm ~order ~domains ~cancel ~kernel lb q
+    tuple
+
+let possible_member ?algorithm ?order ?domains ?cancel ?kernel lb q tuple =
+  fst
+    (possible_member_stats ?algorithm ?order ?domains ?cancel ?kernel lb q
+       tuple)

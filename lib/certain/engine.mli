@@ -137,7 +137,9 @@ type stats = {
 }
 
 (** [certain_member ?algorithm ?order ?domains lb q c] decides
-    [c ∈ Q(LB)], with early exit on the first countermodel.
+    [c ∈ Q(LB)], with early exit on the first countermodel: it is
+    {!certain_boolean} on the instantiated sentence [(). φ(c)], run
+    under its own span ([certain.member]).
 
     @raise Invalid_argument when [c]'s length differs from the query
     arity, when a member of [c] is not a constant of [LB], when the
@@ -219,7 +221,8 @@ val answer_stats :
 
     A tuple is a {e possible} answer when {e some} respecting mapping
     admits it: [possible_member lb q c] iff
-    [∃h. h(c) ∈ Q(h(Ph₁(LB)))]. For Boolean queries,
+    [∃h. h(c) ∈ Q(h(Ph₁(LB)))] — {!possible_boolean} on [(). φ(c)],
+    under the span [certain.possible_member]. For Boolean queries,
     [possible φ ⟺ ¬ certain (¬φ)]. Not studied by the paper directly
     but implicit in its model-theoretic semantics; exposed because the
     3-colorability reduction (Theorem 5) naturally asks a possibility

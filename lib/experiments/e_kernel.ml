@@ -52,7 +52,8 @@ let e15 () =
      non-empty, so the survivor set never empties and the scan visits
      every partition — the per-structure cost the kernel targets. The
      E1-medium row keeps the bench's mixed query (early exit included)
-     so it is comparable with e1/exact-medium in BENCH_5.json. *)
+     so it is comparable with the e1/exact-medium and
+     e1/exact-medium-strings micro-benchmarks. *)
   let curve =
     List.map
       (fun unknowns ->
@@ -83,7 +84,7 @@ let e15 () =
         "the |C|=7 curve runs the positive query, whose non-empty certain \
          answer forces a full scan over every partition; the E1-medium row \
          runs the bench's mixed query (early exit included) to stay \
-         comparable with e1/exact-medium in BENCH_5.json;";
+         comparable with the e1/exact-medium{,-strings} micro-benchmarks;";
         "at u=0 the scan evaluates a single structure and the interning \
          and compilation setup dominates — the compiled kernel only pays \
          off once the partition count grows;";

@@ -765,30 +765,9 @@ let fresh_rt idb c regs =
 
 let run_sentence idb c = c.c_run (fresh_rt idb c (Array.make c.c_regs 0))
 
-(* Head registers 0..k-1. For [member] the env is built head-first so a
-   duplicated head variable resolves to its FIRST occurrence; for
-   [answer] the interpreter prepends per position so the LAST wins —
-   both mirrored here by list order. *)
-let compile_member tab q =
-  let head = Query.head q in
-  let k = List.length head in
-  let vars = List.mapi (fun i x -> (x, i)) head in
-  let st, run = compile_body tab vars k (Query.body q) in
-  {
-    c_head = k;
-    c_regs = st.st_regs;
-    c_sos = st.st_sos;
-    c_slots = st.st_slots;
-    c_run = run;
-  }
-
-let run_member idb c row =
-  if Array.length row <> c.c_head then
-    eval_error "Eval.member: tuple arity differs from the query head";
-  let regs = Array.make c.c_regs 0 in
-  Array.blit row 0 regs 0 c.c_head;
-  c.c_run (fresh_rt idb c regs)
-
+(* Head registers 0..k-1. The interpreter prepends per position, so
+   a duplicated head variable resolves to its LAST occurrence —
+   mirrored here by list order. *)
 let compile_answer tab q =
   let head = Query.head q in
   let k = List.length head in

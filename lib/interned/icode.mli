@@ -19,9 +19,8 @@
       monotone in lexicographic order. Plans whose intermediate
       arities overflow the packing radix fall back to {!Iplan.run}
       (identical semantics, just unflattened).
-    - {e Formulas} ({!compile_sentence}, {!compile_member},
-      {!compile_answer}) become closure chains over a mutable
-      {e register file}: each first-order binder is assigned a fixed
+    - {e Formulas} ({!compile_sentence}, {!compile_answer}) become
+      closure chains over a mutable {e register file}: each first-order binder is assigned a fixed
       [int] register at compile time and each second-order binder a
       relation register, replacing an interpreter's assoc-list
       environments;
@@ -119,15 +118,6 @@ val compile_sentence : Symtab.t -> Vardi_logic.Formula.t -> check
 
 (** [run_sentence idb c]: one per-structure Boolean check. *)
 val run_sentence : Idb.t -> check -> bool
-
-(** [compile_member tab q] compiles the query body with the head
-    variables pre-bound to registers [0 .. arity-1]; mirrors
-    [Eval.member]. *)
-val compile_member : Symtab.t -> Vardi_logic.Query.t -> check
-
-(** [run_member idb c row]: [row] holds element codes (the candidate
-    tuple already renamed), loaded into the head registers. *)
-val run_member : Idb.t -> check -> int array -> bool
 
 (** [compile_answer tab q] compiles the direct-enumeration answer path
     — the bounded-SO fallback used when the query has no relational

@@ -1,5 +1,5 @@
-(** Minimal blocking client for the serve protocol — what the tests,
-    the [bench --serve] load generator and the CI smoke driver speak.
+(** Minimal blocking client for the serve protocol — what the tests
+    and the perfbench load generator speak.
     One request line out, one response line back, in order.
 
     {2 Retries}

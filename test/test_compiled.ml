@@ -212,9 +212,9 @@ let exec_member_agrees =
 
 (* Reuse the fuzzer's (db, query) generator: for each instance, the
    compiled evaluators must agree with the string Eval on every
-   structure of the partition stream — answers, member verdicts and
-   sentence verdicts, including which Eval_error (if any) escapes. The
-   interned stream visits the same partitions as [Partition.all_valid]
+   structure of the partition stream — answers and sentence verdicts,
+   including which Eval_error (if any) escapes. The interned stream
+   visits the same partitions as [Partition.all_valid]
    in the same order, with the same representatives, so position [i]
    of one is the string image of position [i] of the other. *)
 
@@ -233,7 +233,6 @@ let compiled_formulas_match_eval =
       let plan = Iscan.prepare db in
       let tab = Iscan.symtab plan in
       let ca = Icode.compile_answer tab query in
-      let cm = Icode.compile_member tab query in
       let body = Query.body query in
       let cs =
         if Query.is_boolean query then Some (Icode.compile_sentence tab body)
@@ -254,23 +253,6 @@ let compiled_formulas_match_eval =
                | Error a, Error b -> String.equal a b
                | _ -> false
              in
-             let members_agree =
-               let k = Query.arity query in
-               let universe = Idb.universe idb in
-               k > 2 (* keep the probe grid small *)
-               || Irel.rows (Irel.full ~domain:universe k)
-                  |> Array.for_all (fun row ->
-                         match
-                           ( eval_outcome (fun () ->
-                                 Icode.run_member idb cm row),
-                             eval_outcome (fun () ->
-                                 Eval.member image query
-                                   (Symtab.name_tuple tab row)) )
-                         with
-                         | Result.Ok a, Result.Ok b -> Bool.equal a b
-                         | Error a, Error b -> String.equal a b
-                         | _ -> false)
-             in
              let sentences_agree =
                match cs with
                | None -> true
@@ -283,7 +265,7 @@ let compiled_formulas_match_eval =
                  | Error a, Error b -> String.equal a b
                  | _ -> false)
              in
-             answers_agree && members_agree && sentences_agree))
+             answers_agree && sentences_agree))
 
 (* --- register/slot bounds of compiled formulas ----------------------- *)
 
@@ -317,7 +299,6 @@ let test_check_bounds () =
             (Icode.check_slots c))
         [
           Icode.compile_answer tab query;
-          Icode.compile_member tab query;
           Icode.compile_sentence tab (Query.body query)
           (* free-variable errors are deferred to run time, so
              compiling an open body as a sentence is fine here *);
@@ -397,13 +378,7 @@ let test_compiled_error_parity () =
   let hidden = q "(). true \\/ NOPRED(socrates)" in
   let cs = Icode.compile_sentence tab (Query.body hidden) in
   check_bool "short-circuit hides the bad atom" true
-    (Icode.run_sentence idb cs);
-  let member_arity = Icode.compile_member tab (q "(x). TEACHES(x, x)") in
-  check
-    Alcotest.(option string)
-    "member arity check"
-    (Some "Eval.member: tuple arity differs from the query head")
-    (trip (fun () -> Icode.run_member idb member_arity [| 0; 1 |]))
+    (Icode.run_sentence idb cs)
 
 let test_compiled_stats_parity () =
   let query = q "(x). ~(exists y. TEACHES(x, y))" in

@@ -548,8 +548,20 @@ let test_kill9_replay () =
                   [ "socrates"; "plato" ];
                 ]
                 (rows r);
-              ignore (rpc c (op "shutdown" []));
-              (try Client.close c with _ -> ()))))
+              (* the wire shutdown op ends the daemon cleanly: exit 0,
+                 after the worker domains are joined, and the socket
+                 file removed *)
+              Alcotest.(check string) "shutdown acked" "ok"
+                (code (rpc c (op "shutdown" [])));
+              (try Client.close c with _ -> ());
+              (match Unix.waitpid [] pid2 with
+              | _, Unix.WEXITED 0 -> ()
+              | _, Unix.WEXITED n -> Alcotest.failf "exit %d, expected 0" n
+              | _, Unix.WSIGNALED n ->
+                Alcotest.failf "killed by signal %d, expected exit 0" n
+              | _, Unix.WSTOPPED _ -> Alcotest.fail "stopped, expected exit 0");
+              Alcotest.(check bool) "shutdown removed the socket file" false
+                (Sys.file_exists socket2))))
 
 let test_sigterm_drain () =
   with_seed_file (fun seed ->

@@ -214,11 +214,39 @@ let test_concurrent_parity () =
                     parity_queries
                 done)
           in
-          let threads = List.init 4 (fun k -> Thread.create client_thread k) in
+          (* A fifth client salts the load with the two error paths the
+             protocol must keep answering under concurrency: a non-JSON
+             line, then a request whose one-structure budget trips. *)
+          let salted = ref [] in
+          let salting_client () =
+            let c = Client.connect socket in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                let code_of r =
+                  Option.value ~default:(J.to_string r) (J.str_field "code" r)
+                in
+                let malformed = code_of (Client.request_line c "not json") in
+                let capped =
+                  code_of
+                    (query
+                       ~extra:[ ("max_structures", J.Num 1.) ]
+                       c "g" (List.hd parity_queries))
+                in
+                salted := [ malformed; capped ])
+          in
+          let threads =
+            Thread.create salting_client ()
+            :: List.init 4 (fun k -> Thread.create client_thread k)
+          in
           List.iter Thread.join threads;
           Alcotest.(check int)
             "every concurrent answer equals the engine's" 0
             (Atomic.get failures);
+          Alcotest.(check (list string))
+            "malformed line and tripped budget answered under load"
+            [ "parse_error"; "exhausted" ]
+            !salted;
           (* and the one-shot CLI on the same database file *)
           let cli_code, out = run_ldb [ "query"; db_path; List.hd parity_queries ] in
           Alcotest.(check int) "one-shot exit 0" 0 cli_code;
@@ -332,11 +360,13 @@ let test_mutations () =
               | None -> Alcotest.fail "stats without sessions")))
 
 (* Mutating through the server must land on the same database the
-   one-shot pipeline produces: serve insert+query ≡ ldb mutate + ldb
-   query on files. *)
+   one-shot pipeline produces: serve insert + close_unknown + query ≡
+   ldb mutate --insert --distinct + ldb query on files. The second
+   probe query tells the closure apart: mystery is certainly not
+   socrates only once the pair is closed to distinct. *)
 let test_mutation_cli_parity () =
   with_db (fun db_path ->
-      let q = "(x, y). TEACHES(x, y)" in
+      let probes = [ "(x, y). TEACHES(x, y)"; "(x). x != socrates" ] in
       let delta_fact = "TEACHES(mystery, plato)" in
       let mutated = Filename.temp_file "ldb_serve" ".ldb" in
       Fun.protect
@@ -344,12 +374,15 @@ let test_mutation_cli_parity () =
         (fun () ->
           let code, _ =
             run_ldb
-              [ "mutate"; db_path; "--insert"; delta_fact; "--output"; mutated ]
+              [
+                "mutate"; db_path; "--insert"; delta_fact;
+                "--distinct"; "socrates,mystery"; "--output"; mutated;
+              ]
           in
           Alcotest.(check int) "ldb mutate exit 0" 0 code;
-          let code, out = run_ldb [ "query"; mutated; q ] in
-          Alcotest.(check int) "one-shot query exit 0" 0 code;
-          let cli_rows =
+          let cli_rows q =
+            let code, out = run_ldb [ "query"; mutated; q ] in
+            Alcotest.(check int) "one-shot query exit 0" 0 code;
             String.split_on_char '\n' out
             |> List.filter (fun l -> l <> "" && l.[0] <> '(')
             |> List.map (fun l ->
@@ -360,9 +393,15 @@ let test_mutation_cli_parity () =
               with_client socket (fun c ->
                   check_code "load" "ok" (load c "g" db_path);
                   check_code "serve insert" "ok" (insert c "g" delta_fact);
-                  Alcotest.(check (list (list string)))
-                    "served rows equal mutate-then-query rows" cli_rows
-                    (rows (query c "g" q))))))
+                  check_code "serve close to distinct" "ok"
+                    (close_unknown ~to_:"distinct" c "g" "socrates" "mystery");
+                  List.iter
+                    (fun q ->
+                      Alcotest.(check (list (list string)))
+                        ("served rows equal mutate-then-query rows: " ^ q)
+                        (cli_rows q)
+                        (rows (query c "g" q)))
+                    probes))))
 
 (* --- plan-cache counters ------------------------------------------- *)
 
